@@ -23,10 +23,10 @@ from .model import (
 from .metric import (
     DistanceCache,
     auto_radius,
-    brute_force_neighbor_sets,
     feature_distance,
     neighbor_pairs,
     neighbor_sets,
+    pairwise_squared,
     precompute_cache,
     weighted_distance,
 )
@@ -34,8 +34,7 @@ from .objective import (
     GradientBundle,
     NumericalError,
     composite_objective,
-    distance_match_gradients,
-    distance_match_values,
+    distance_match,
     l1_term,
     loss_subgradient,
     predictive_loss,
@@ -72,12 +71,10 @@ __all__ = [
     "TrainState",
     "TrainedModel",
     "auto_radius",
-    "brute_force_neighbor_sets",
     "center_of_mass",
     "coefficient_matrix",
     "composite_objective",
-    "distance_match_gradients",
-    "distance_match_values",
+    "distance_match",
     "evaluate_recovery",
     "feature_distance",
     "fit",
@@ -90,6 +87,7 @@ __all__ = [
     "neighbor_pairs",
     "neighbor_sets",
     "normalize_dictionary",
+    "pairwise_squared",
     "precompute_cache",
     "predict_batch",
     "predict_point",

@@ -272,7 +272,10 @@ def _read_predictions(path) -> np.ndarray:
     if "y_hat" not in header:
         raise ValueError(f"{path}: missing y_hat column")
     col = header.index("y_hat")
-    return np.array([float(ln.split(",")[col]) for ln in lines[1:]], dtype=float)
+    y_hat = np.array([float(ln.split(",")[col]) for ln in lines[1:]], dtype=float)
+    if not np.all(np.isfinite(y_hat)):
+        raise ValueError(f"{path}: non-finite y_hat")
+    return y_hat
 
 
 def run_evaluate(args) -> int:

@@ -3,24 +3,22 @@ cache, and neighbor-ball queries over the loading space.
 
 The per-covariate distances never change during training, so they are
 computed once into a (k, n, n) cache.  Neighbor balls live on squared
-Euclidean distance between loading columns and are recomputed from the
-current loadings whenever they are needed.
+Euclidean distance between loading columns: one dense (n, n) matrix per
+query, from which both the automatic radius and the neighbor pairs are
+read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CATEGORICAL, CONTINUOUS, COVARIATE_KINDS, CovariateTable
 
-# Grid search only pays off for dense-enough clouds in low dimension.
-GRID_MIN_SAMPLES = 64
-GRID_MAX_DIM = 8
-
 RADIUS_NUDGE = 1e-12
+# entries of the scratch block pairwise_squared fills per pass (512 KB)
+PAIRWISE_BLOCK = 1 << 16
 
 
 def feature_distance(kind: str, a, b) -> float:
@@ -87,20 +85,6 @@ class DistanceCache:
             total += float(weights[idx]) * float(self.distances[idx, i, j])
         return total
 
-    def weighted_pairs(self, weights, i_idx, j_idx) -> np.ndarray:
-        """Vectorized learned distance for index pairs.
-
-        Accumulates column by column in ascending order so results match a
-        scalar per-pair evaluation bit for bit.
-        """
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape[0] != self.width:
-            raise ValueError("weights length must match cache width")
-        out = np.zeros(len(i_idx), dtype=float)
-        for idx in range(self.width):
-            out += weights[idx] * self.distances[idx][i_idx, j_idx]
-        return out
-
 
 def precompute_cache(covariates: CovariateTable) -> DistanceCache:
     """Build the (k, n, n) per-covariate distance cache for a training table."""
@@ -116,123 +100,76 @@ def precompute_cache(covariates: CovariateTable) -> DistanceCache:
     return DistanceCache(distances=mats, kinds=covariates.kinds)
 
 
-def _pairwise_squared(loadings: np.ndarray) -> np.ndarray:
-    """Full (n, n) squared-distance matrix, accumulated dimension by
-    dimension so entries match the per-pair loop used elsewhere."""
-    n = loadings.shape[1]
-    sq = np.zeros((n, n), dtype=float)
-    for d in range(loadings.shape[0]):
-        diff = loadings[d][:, None] - loadings[d][None, :]
-        sq += diff * diff
-    return sq
+def pairwise_squared(loadings: np.ndarray) -> np.ndarray:
+    """Full (n, n) squared Euclidean distances between loading columns.
 
-
-def _squared_to(loadings: np.ndarray, i: int, candidates: np.ndarray) -> np.ndarray:
-    sq = np.zeros(len(candidates), dtype=float)
-    for d in range(loadings.shape[0]):
-        diff = loadings[d, i] - loadings[d][candidates]
-        sq += diff * diff
-    return sq
-
-
-def brute_force_neighbor_sets(loadings: np.ndarray, radius: float) -> list:
-    """Reference O(n^2) neighbor query, used directly for small or
-    high-dimensional clouds."""
-    loadings = np.asarray(loadings, dtype=float)
-    n = loadings.shape[1]
-    sq = _pairwise_squared(loadings)
-    sets = []
-    for i in range(n):
-        members = np.flatnonzero(sq[i] < radius)
-        sets.append(members[members != i])
-    return sets
-
-
-def _grid_neighbor_sets(loadings: np.ndarray, radius: float) -> list:
-    q, n = loadings.shape
-    side = np.sqrt(radius)
-    mins = loadings.min(axis=1)
-    keys = np.floor((loadings - mins[:, None]) / side).astype(np.int64)
-
-    cells: dict = {}
-    for i in range(n):
-        cells.setdefault(tuple(keys[:, i]), []).append(i)
-
-    offsets = list(itertools.product((-1, 0, 1), repeat=q))
-    sets = []
-    for i in range(n):
-        base = tuple(keys[:, i])
-        candidates: list = []
-        for off in offsets:
-            bucket = cells.get(tuple(b + o for b, o in zip(base, off)))
-            if bucket:
-                candidates.extend(bucket)
-        cand = np.sort(np.asarray(candidates, dtype=np.int64))
-        sq = _squared_to(loadings, i, cand)
-        members = cand[(sq < radius) & (cand != i)]
-        sets.append(members)
-    return sets
-
-
-def neighbor_sets(loadings: np.ndarray, radius: float) -> list:
-    """Neighbor ball of every sample: indices j with squared loading
-    distance strictly below ``radius``.
-
-    Returns a list of sorted index arrays; sample i never contains itself.
-    Uses a uniform grid with cell side sqrt(radius) when the cloud is large
-    and low-dimensional, otherwise the brute-force scan.  Both paths compute
-    identical distances, so membership is exactly the same.
+    Accumulated dimension by dimension, so every entry equals a per-pair
+    loop over the dimensions bit for bit, and the matrix is exactly
+    symmetric with a zero diagonal.
     """
     loadings = np.asarray(loadings, dtype=float)
     if loadings.ndim != 2:
         raise ValueError("loadings must be a (q, n) array")
+    n = loadings.shape[1]
+    sq = np.empty((n, n), dtype=float)
+    # a few rows at a time, so the scratch buffer stays in cache
+    rows = max(1, PAIRWISE_BLOCK // max(n, 1))
+    diff = np.empty((rows, n), dtype=float)
+    for start in range(0, n, rows):
+        out = sq[start : start + rows]
+        scratch = diff[: out.shape[0]]
+        out.fill(0.0)
+        for row in loadings:
+            np.subtract(row[start : start + rows, None], row[None, :], out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            out += scratch
+    return sq
+
+
+def neighbor_sets(sq: np.ndarray, radius: float) -> np.ndarray:
+    """Neighbor balls as an (n, n) boolean membership matrix.
+
+    Entry (i, j) is set when the squared loading distance in ``sq`` (from
+    ``pairwise_squared``) lies strictly below ``radius``; no sample is its
+    own neighbor.
+    """
     if not radius > 0:
         raise ValueError("radius must be > 0")
-    q, n = loadings.shape
-    if n < GRID_MIN_SAMPLES or q > GRID_MAX_DIM:
-        return brute_force_neighbor_sets(loadings, radius)
-    return _grid_neighbor_sets(loadings, radius)
+    members = sq < radius
+    np.fill_diagonal(members, False)
+    return members
 
 
-def neighbor_pairs(sets) -> tuple:
-    """Flatten neighbor sets into ordered-pair index arrays.
+def neighbor_pairs(members: np.ndarray) -> tuple:
+    """Ordered-pair index arrays (i_idx, j_idx) of a membership matrix.
 
     Pairs come out sorted ascending by (i, j); every mutual pair appears in
     both directions.  This fixed order is what makes downstream reductions
     reproducible.
     """
-    counts = [len(s) for s in sets]
-    total = int(sum(counts))
-    i_idx = np.empty(total, dtype=np.int64)
-    j_idx = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i, members in enumerate(sets):
-        m = len(members)
-        if m:
-            i_idx[pos : pos + m] = i
-            j_idx[pos : pos + m] = members
-            pos += m
-    return i_idx, j_idx
+    flat = np.flatnonzero(members)
+    return np.divmod(flat, members.shape[1])
 
 
-def auto_radius(loadings: np.ndarray, target_avg: float) -> float:
+def auto_radius(sq: np.ndarray, target_avg: float) -> float:
     """Radius giving roughly ``target_avg`` neighbors per sample.
 
-    Takes the m-th smallest squared pairwise distance with
-    m = ceil(target_avg * n / 2), then nudges it up by a relative 1e-12 so
-    the strict inequality keeps those m pairs inside.
+    Takes the m-th smallest squared distance over unordered pairs, with
+    m = ceil(target_avg * n / 2) clipped to n(n - 1) / 2, then nudges it up
+    by a relative 1e-12 so the strict inequality keeps those m pairs inside.
+    ``sq`` is the matrix of ``pairwise_squared``: it is exactly symmetric
+    with n zeros on its diagonal, so its flattened order statistic
+    n + 2m - 1 is that pair distance (the diagonal sorts first and every
+    pair appears twice).
     """
-    loadings = np.asarray(loadings, dtype=float)
-    n = loadings.shape[1]
+    n = sq.shape[0]
     if n < 2:
         raise ValueError("need at least two samples to pick a radius")
     if not (0 < target_avg <= n - 1):
         raise ValueError(f"target_avg must lie in (0, {n - 1}], got {target_avg}")
-    sq = _pairwise_squared(loadings)
-    upper = sq[np.triu_indices(n, k=1)]
-    m = int(np.ceil(target_avg * n / 2.0))
-    m = min(m, upper.size)
-    kth = float(np.partition(upper, m - 1)[m - 1])
-    if kth == 0.0:
+    m = min(int(np.ceil(target_avg * n / 2.0)), n * (n - 1) // 2)
+    kth = n + 2 * m - 1
+    value = float(np.partition(sq.ravel(), kth)[kth])
+    if value == 0.0:
         return RADIUS_NUDGE
-    return kth * (1.0 + RADIUS_NUDGE)
+    return value * (1.0 + RADIUS_NUDGE)

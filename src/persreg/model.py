@@ -230,10 +230,6 @@ def coefficient_matrix(fact: Factorization) -> np.ndarray:
     return fact.dictionary.T @ fact.loadings
 
 
-def sample_coefficients(fact: Factorization, i: int) -> np.ndarray:
-    return fact.dictionary.T @ fact.loadings[:, i]
-
-
 def normalize_dictionary(fact: Factorization) -> Factorization:
     """Rescale every dictionary column to unit Euclidean norm.
 

@@ -3,7 +3,8 @@ objective consumed by the optimizer.
 
 All gradients are closed form.  The distance-matching terms iterate ordered
 neighbor pairs sorted ascending by (i, j), accumulate covariate columns and
-latent dimensions in ascending order, and scatter with unbuffered adds.
+latent dimensions in ascending order, and scatter with ``np.bincount``,
+which adds in sequence.
 That fixed arithmetic order is a contract: a brute-force oracle that walks
 pairs the same way reproduces every value bit for bit, and runs are
 reproducible regardless of how the pair list was discovered.
@@ -12,10 +13,17 @@ reproducible regardless of how the pair list was discovered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .metric import DistanceCache, auto_radius, neighbor_pairs, neighbor_sets
+from .metric import (
+    DistanceCache,
+    auto_radius,
+    neighbor_pairs,
+    neighbor_sets,
+    pairwise_squared,
+)
 from .model import (
     REGRESSION,
     Dataset,
@@ -122,38 +130,44 @@ def l1_term(coef, strength: float) -> tuple:
     return strength * float(np.sum(np.abs(coef))), strength * np.sign(coef)
 
 
-def _pair_mismatch(loadings, weights, cache: DistanceCache, i_idx, j_idx):
-    """rho(i,j) - ||Z_i - Z_j||^2 per ordered pair, in the canonical order."""
-    rho = cache.weighted_pairs(weights, i_idx, j_idx)
-    sq = np.zeros(len(i_idx), dtype=float)
-    for d in range(loadings.shape[0]):
-        diff = loadings[d][i_idx] - loadings[d][j_idx]
-        sq += diff * diff
-    return rho - sq
+class NeighborPairs(NamedTuple):
+    """Ordered neighbor pairs, sorted ascending by (i, j), with the (k, P)
+    per-covariate distances of every pair."""
+
+    i_idx: np.ndarray
+    j_idx: np.ndarray
+    distances: np.ndarray
 
 
-def distance_match_values(loadings, weights, cache: DistanceCache, sets, strength):
-    """Per-sample distance-matching penalties (length n, entries >= 0).
+def resolve_pairs(loadings, cache: DistanceCache, hyper: HyperParams) -> tuple:
+    """Neighbor-ball radius and pairs of the current loadings.
 
-    Entry i is (strength / 2) times the sum over i's neighbor ball of the
-    squared gap between the learned covariate distance and the squared
-    loading distance.
+    One squared-distance matrix gives both: the fixed radius if configured,
+    otherwise the automatic choice with the neighbor target clipped to
+    n - 1.  Without distance matching, or with fewer than two samples, the
+    radius is None and there are no pairs.
     """
-    loadings = np.asarray(loadings, dtype=float)
     n = loadings.shape[1]
-    i_idx, j_idx = neighbor_pairs(sets)
-    per_sample = np.zeros(n, dtype=float)
-    if strength == 0.0 or len(i_idx) == 0:
-        return per_sample
-    mis = _pair_mismatch(loadings, weights, cache, i_idx, j_idx)
-    np.add.at(per_sample, i_idx, mis * mis)
-    return 0.5 * strength * per_sample
+    if n < 2 or hyper.distance_match == 0.0:
+        none = np.empty(0, dtype=np.intp)
+        return None, NeighborPairs(none, none, cache.distances[:, none, none])
+    sq = pairwise_squared(loadings)
+    if hyper.radius is not None:
+        radius = float(hyper.radius)
+    else:
+        radius = auto_radius(sq, min(float(hyper.target_neighbors), float(n - 1)))
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(sq, radius))
+    return radius, NeighborPairs(i_idx, j_idx, cache.distances[:, i_idx, j_idx])
 
 
-def distance_match_gradients(loadings, weights, cache: DistanceCache, sets, strength):
-    """Gradients of the summed distance-matching penalty.
+def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:
+    """Distance-matching penalties and their gradients, from one pass over
+    the pairs.
 
-    Returns (grad_loadings q x n, grad_weights k).  Column i collects
+    Returns (per-sample values length n, grad_loadings q x n, grad_weights
+    k).  Value i is (strength / 2) times the sum over i's neighbor ball of
+    the squared gap between the learned covariate distance and the squared
+    loading distance.  Loading column i collects
     -2 * strength * mismatch * (Z_i - Z_j) from its own ball plus the equal
     cross terms from balls it belongs to; all i-side contributions are
     scattered before the j-side ones.  The columns sum to zero by the
@@ -161,41 +175,35 @@ def distance_match_gradients(loadings, weights, cache: DistanceCache, sets, stre
     """
     loadings = np.asarray(loadings, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    i_idx, j_idx, distances = pairs
     q, n = loadings.shape
+    k = distances.shape[0]
+    if weights.shape != (k,):
+        raise ValueError("weights length must match the number of covariates")
     grad_loadings = np.zeros((q, n), dtype=float)
-    grad_weights = np.zeros(cache.width, dtype=float)
-    if strength == 0.0:
-        return grad_loadings, grad_weights
-    i_idx, j_idx = neighbor_pairs(sets)
-    if len(i_idx) == 0:
-        return grad_loadings, grad_weights
-    mis = _pair_mismatch(loadings, weights, cache, i_idx, j_idx)
+    grad_weights = np.zeros(k, dtype=float)
+    if strength == 0.0 or len(i_idx) == 0:
+        return np.zeros(n, dtype=float), grad_loadings, grad_weights
+
+    # mismatch rho(i,j) - ||Z_i - Z_j||^2 per pair
+    rho = np.zeros(len(i_idx), dtype=float)
+    for w, dist in zip(weights, distances):
+        rho += w * dist
+    deltas = loadings[:, i_idx] - loadings[:, j_idx]
+    sq = np.zeros(len(i_idx), dtype=float)
+    for delta in deltas:
+        sq += delta * delta
+    mis = rho - sq
+
+    values = 0.5 * strength * np.bincount(i_idx, mis * mis, n)
     coeff = -2.0 * strength * mis
-    for d in range(q):
-        contrib = coeff * (loadings[d][i_idx] - loadings[d][j_idx])
-        np.add.at(grad_loadings[d], i_idx, contrib)
-        np.add.at(grad_loadings[d], j_idx, -contrib)
-    per_sample = np.zeros(n, dtype=float)
-    for idx in range(cache.width):
-        per_sample[:] = 0.0
-        np.add.at(per_sample, i_idx, mis * cache.distances[idx][i_idx, j_idx])
-        grad_weights[idx] = strength * float(np.sum(per_sample))
-    return grad_loadings, grad_weights
-
-
-RADIUS_FOR_SINGLETON = 1e-12
-
-
-def resolve_radius(loadings, hyper: HyperParams) -> float:
-    """Fixed radius if configured, otherwise the automatic choice with the
-    neighbor target clipped to n - 1."""
-    if hyper.radius is not None:
-        return float(hyper.radius)
-    n = loadings.shape[1]
-    if n < 2:
-        return RADIUS_FOR_SINGLETON
-    target = min(float(hyper.target_neighbors), float(n - 1))
-    return auto_radius(loadings, target)
+    both = np.concatenate((i_idx, j_idx))
+    for d, delta in enumerate(deltas):
+        contrib = coeff * delta
+        grad_loadings[d] = np.bincount(both, np.concatenate((contrib, -contrib)), n)
+    for idx, dist in enumerate(distances):
+        grad_weights[idx] = strength * float(np.sum(np.bincount(i_idx, mis * dist, n)))
+    return values, grad_loadings, grad_weights
 
 
 def composite_objective(
@@ -204,13 +212,13 @@ def composite_objective(
     dataset: Dataset,
     cache: DistanceCache,
     hyper: HyperParams,
-    sets=None,
+    pairs: NeighborPairs | None = None,
 ) -> GradientBundle:
     """Value and gradients of the full training objective.
 
     The objective sums, over samples, the predictive loss, the l1 penalty on
     the implied coefficients, and the distance-matching penalty, plus the
-    anchor term pulling the metric weights toward one.  Neighbor sets are
+    anchor term pulling the metric weights toward one.  Neighbor pairs are
     derived from the current loadings unless supplied.
 
     The dictionary gradient has no distance-matching contribution: that
@@ -230,17 +238,10 @@ def composite_objective(
     penalty_grads = hyper.l1 * np.sign(coefficients)
     data_grads = loss_grads + penalty_grads  # p x n
 
-    if sets is None:
-        if dataset.n >= 2 and hyper.distance_match > 0.0:
-            sets = neighbor_sets(fact.loadings, resolve_radius(fact.loadings, hyper))
-        else:
-            sets = [np.empty(0, dtype=np.int64) for _ in range(dataset.n)]
-
-    match_vals = distance_match_values(
-        fact.loadings, weights, cache, sets, hyper.distance_match
-    )
-    match_gz, match_gw = distance_match_gradients(
-        fact.loadings, weights, cache, sets, hyper.distance_match
+    if pairs is None:
+        _, pairs = resolve_pairs(fact.loadings, cache, hyper)
+    match_vals, match_gz, match_gw = distance_match(
+        fact.loadings, weights, pairs, hyper.distance_match
     )
 
     anchor_diff = weights - 1.0

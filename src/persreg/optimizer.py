@@ -1,8 +1,8 @@
 """Training loop: population-anchored initialization, factorized subgradient
 descent with personalized learning rates and multiplicative decay.
 
-Two numerical safeguards sit on top of the raw update rules, both inactive
-on well-scaled problems and both only ever shrinking a step:
+Two numerical safeguards sit on top of the raw update rules, both only ever
+shrinking a step:
 
 * the metric-weight step is rate-limited by the curvature of the
   distance-matching term, which is an exact quadratic in the weights; the
@@ -11,6 +11,11 @@ on well-scaled problems and both only ever shrinking a step:
 * the loading block backs off by one shared scalar whenever its largest
   per-sample step would exceed the neighbor-ball radius, since such a step
   invalidates the neighbor structure the gradient was built on.
+
+At the default match strength both bind on every iteration: on the
+benchmark's fits (n = 400 and n = 2000, seed 1) the weight rate is cut to
+about 3e-6 to 3e-5 of the global rate, and the loading step is scaled by
+1e-6 to 1e-4.
 
 Neither safeguard can increase a step, and the backoff rescales every
 sample equally, so the center-of-mass bookkeeping (the per-iteration bound
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metric import DistanceCache, neighbor_pairs, neighbor_sets, precompute_cache
+from .metric import DistanceCache, precompute_cache
 from .model import (
     REGRESSION,
     Dataset,
@@ -33,7 +38,7 @@ from .model import (
     center_of_mass,
     coefficient_matrix,
 )
-from .objective import NumericalError, composite_objective, resolve_radius
+from .objective import NumericalError, composite_objective, resolve_pairs
 from .population import ElasticNetConfig, fit_population
 
 
@@ -97,21 +102,21 @@ def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) ->
     )
 
 
-def _weight_rate_limit(alpha: float, cache: DistanceCache, i_idx, j_idx, hyper) -> float:
+def _weight_rate_limit(alpha: float, pair_distances, hyper) -> float:
     """Stable scalar rate for the weight block.
 
     The distance-matching penalty is quadratic in the weights with Hessian
     trace  strength * sum over pairs of squared covariate distances, plus
     2 * anchor per covariate.  A gradient step is safe below the reciprocal
     of that trace, and the configured rate is used whenever it already is.
+    ``pair_distances`` holds the (k, P) per-covariate distances of the pairs.
     """
     total = 0.0
-    if hyper.distance_match > 0.0 and len(i_idx):
-        for idx in range(cache.width):
-            d = cache.distances[idx][i_idx, j_idx]
+    if hyper.distance_match > 0.0 and pair_distances.shape[1]:
+        for d in pair_distances:
             total += float(np.sum(d * d))
         total *= hyper.distance_match
-    total += 2.0 * hyper.weights_anchor * cache.width
+    total += 2.0 * hyper.weights_anchor * pair_distances.shape[0]
     if total <= 0.0:
         return alpha
     return min(alpha, 1.0 / total)
@@ -131,25 +136,17 @@ def train_step(
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
-    use_match = hyper.distance_match > 0.0 and dataset.n >= 2
-    if use_match:
-        radius = resolve_radius(fact.loadings, hyper)
-        sets = neighbor_sets(fact.loadings, radius)
-    else:
-        radius = None
-        sets = [np.empty(0, dtype=np.int64) for _ in range(dataset.n)]
-    i_idx, j_idx = neighbor_pairs(sets)
+    radius, pairs = resolve_pairs(fact.loadings, cache, hyper)
+    bundle = composite_objective(fact, weights, dataset, cache, hyper, pairs=pairs)
 
-    bundle = composite_objective(fact, weights, dataset, cache, hyper, sets=sets)
-
-    rate_w = _weight_rate_limit(alpha, cache, i_idx, j_idx, hyper)
+    rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
     new_weights = np.maximum(0.0, weights - rate_w * bundle.grad_weights)
 
     coefficients = coefficient_matrix(fact)
     anchor_dist = np.max(np.abs(coefficients - state.population_coef[:, None]), axis=0)
     rates = alpha / np.maximum(hyper.rate_floor, anchor_dist)
     step_loadings = rates[None, :] * bundle.grad_loadings
-    if use_match:
+    if radius is not None:
         # back the whole block off so no loading moves past the
         # neighbor-ball radius; one shared scalar keeps the scaling uniform
         norms = np.sqrt(np.sum(step_loadings * step_loadings, axis=0))
@@ -177,7 +174,7 @@ def train_step(
         iteration=state.iteration + 1,
         last_value=bundle.value,
         converged=False,
-        mean_neighbors=len(i_idx) / dataset.n,
+        mean_neighbors=len(pairs.i_idx) / dataset.n,
         radius_used=radius,
     )
 

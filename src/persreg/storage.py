@@ -41,7 +41,11 @@ def write_matrix_csv(path, matrix, header) -> None:
 
 
 def read_matrix_csv(path) -> tuple:
-    """Returns (header, float matrix with one row per data line)."""
+    """Returns (header, float matrix with one row per data line).
+
+    Cells must be finite numbers: ``nan`` and ``inf`` parse as floats but
+    are rejected like any other malformed cell.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -59,6 +63,9 @@ def read_matrix_csv(path) -> tuple:
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
     matrix = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+    if not np.all(np.isfinite(matrix)):
+        bad = int(np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))[0])
+        raise ValueError(f"{path}: non-finite cell in data row {bad + 1}")
     return header, matrix
 
 
@@ -121,8 +128,10 @@ def read_schema(path) -> list:
 
 
 def dump_json(path, obj) -> None:
+    """Write strict JSON: a NaN or infinity raises before the file is opened."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -218,9 +227,10 @@ def load_model(path) -> TrainedModel:
 
 
 def write_trace_jsonl(path, records) -> None:
+    lines = [json.dumps(record, sort_keys=True, allow_nan=False) for record in records]
     with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
 
 

@@ -10,7 +10,12 @@ import numpy as np
 
 import persreg as pr
 from persreg.cli import main as cli_main
-from persreg.metric import neighbor_sets, precompute_cache
+from persreg.metric import (
+    neighbor_pairs,
+    neighbor_sets,
+    pairwise_squared,
+    precompute_cache,
+)
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -21,9 +26,9 @@ from persreg.model import (
     normalize_dictionary,
 )
 from persreg.objective import (
+    NeighborPairs,
     composite_objective,
-    distance_match_gradients,
-    distance_match_values,
+    distance_match,
     loss_subgradient,
     predictive_loss,
 )
@@ -64,15 +69,20 @@ def random_match_instance(rng, n, q, k=None):
     cache = precompute_cache(CovariateTable.from_columns(cols, kinds))
     weights = rng.uniform(0.0, 2.0, size=k)
     if n >= 2:
-        from persreg.metric import _pairwise_squared
-
-        sq = _pairwise_squared(loadings)
+        sq = pairwise_squared(loadings)
         vals = np.sort(sq[np.triu_indices(n, k=1)])
         radius = float(vals[int(rng.uniform(0.2, 0.8) * (len(vals) - 1))]) + 1e-9
     else:
         radius = 1.0
     strength = float(rng.uniform(0.5, 2.0))
     return loadings, weights, cache, radius, strength
+
+
+def pairs_within(loadings, radius, cache):
+    """Neighbor pairs of the loadings at a fixed radius, with their
+    covariate distances."""
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(pairwise_squared(loadings), radius))
+    return NeighborPairs(i_idx, j_idx, cache.distances[:, i_idx, j_idx])
 
 
 def test_criterion_1_matcher_never_moves_center_of_mass():
@@ -88,10 +98,8 @@ def test_criterion_1_matcher_never_moves_center_of_mass():
             loadings, weights, cache, radius, strength = random_match_instance(
                 rng, n, q
             )
-            sets = neighbor_sets(loadings, radius)
-            gz, _ = distance_match_gradients(
-                loadings, weights, cache, sets, strength
-            )
+            pairs = pairs_within(loadings, radius, cache)
+            _, gz, _ = distance_match(loadings, weights, pairs, strength)
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
         elapsed = time.time() - start
         assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"
@@ -255,22 +263,18 @@ def test_criterion_6_gradient_oracle():
                 rng, n, q, k=2
             )
             weights = weights + 0.1
-            sets = neighbor_sets(loadings, radius)
-            gz, gw = distance_match_gradients(loadings, weights, cache, sets, strength)
+            pairs = pairs_within(loadings, radius, cache)
+            _, gz, gw = distance_match(loadings, weights, pairs, strength)
             want_z = central_difference(
                 lambda z: float(
-                    np.sum(
-                        distance_match_values(
-                            z.reshape(q, n), weights, cache, sets, strength
-                        )
-                    )
+                    np.sum(distance_match(z.reshape(q, n), weights, pairs, strength)[0])
                 ),
                 loadings.ravel(),
                 1e-6,
             )
             want_w = central_difference(
                 lambda w: float(
-                    np.sum(distance_match_values(loadings, w, cache, sets, strength))
+                    np.sum(distance_match(loadings, w, pairs, strength)[0])
                 ),
                 weights,
                 1e-6,
@@ -306,8 +310,8 @@ def test_criterion_6_gradient_oracle():
                 radius=3.0,
                 target_neighbors=None,
             )
-            sets = neighbor_sets(fact.loadings, 3.0)
-            bundle = composite_objective(fact, weights, ds, cache, hyper, sets=sets)
+            pairs = pairs_within(fact.loadings, 3.0, cache)
+            bundle = composite_objective(fact, weights, ds, cache, hyper, pairs=pairs)
 
             def value(loadings=None, dictionary=None, w=None):
                 f = Factorization(
@@ -315,7 +319,7 @@ def test_criterion_6_gradient_oracle():
                     dictionary=fact.dictionary if dictionary is None else dictionary,
                 )
                 return composite_objective(
-                    f, weights if w is None else w, ds, cache, hyper, sets=sets
+                    f, weights if w is None else w, ds, cache, hyper, pairs=pairs
                 ).value
 
             assert relative_error(
@@ -363,9 +367,9 @@ def test_criterion_6_gradient_oracle():
 
 
 def test_criterion_7_spatial_index_matches_brute_force():
-    """Grid-based neighbor queries and matcher values equal the plain
+    """Dense-matrix neighbor queries and matcher values equal the plain
     double-loop oracle exactly."""
-    with criterion(7, "spatial index equals brute-force oracle"):
+    with criterion(7, "neighbor query equals brute-force oracle"):
         rng = np.random.default_rng(7)
         sizes = [40, 64, 80, 120, 200, 350, 500]
         for i in range(50):
@@ -374,22 +378,20 @@ def test_criterion_7_spatial_index_matches_brute_force():
             loadings, weights, cache, radius, strength = random_match_instance(
                 rng, n, q, k=2
             )
-            got_sets = neighbor_sets(loadings, radius)
+            pairs = pairs_within(loadings, radius, cache)
             want_sets = brute_neighbor_sets(loadings, radius)
-            assert all(
-                np.array_equal(a, b) for a, b in zip(got_sets, want_sets)
+            assert np.array_equal(
+                pairs.i_idx, np.repeat(np.arange(n), [len(b) for b in want_sets])
             )
-            got_vals = distance_match_values(
-                loadings, weights, cache, got_sets, strength
+            assert np.array_equal(pairs.j_idx, np.concatenate(want_sets))
+            got_vals, got_gz, got_gw = distance_match(
+                loadings, weights, pairs, strength
             )
             want_vals = match_values_reference(
                 loadings, weights, list(cache.distances), want_sets, strength
             )
             assert np.array_equal(got_vals, want_vals)
             if i % 5 == 0:
-                got_gz, got_gw = distance_match_gradients(
-                    loadings, weights, cache, got_sets, strength
-                )
                 want_gz, want_gw = match_gradients_reference(
                     loadings, weights, list(cache.distances), want_sets, strength
                 )

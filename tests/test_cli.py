@@ -194,6 +194,21 @@ class TestPredict:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_predictor_is_input_error(self, sim_dir, fitted, tmp_path, cell):
+        model = storage.load_model(fitted / "model.json")
+        test_x = tmp_path / "tx.csv"
+        test_u = tmp_path / "tu.csv"
+        test_x.write_text(f"x0,x1\n0.5,0.25\n{cell},0.1\n")
+        storage.write_covariates_csv(test_u, model.train_covariates.take([0, 1]))
+        out = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--model", fitted / "model.json", "--x", test_x,
+            "--u", test_u, "--out", out,
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_schema_mismatch_is_input_error(self, sim_dir, fitted, tmp_path):
         narrow = tmp_path / "tu.csv"
         narrow.write_text("u0,u1\n0.1,0.2\n")
@@ -288,6 +303,21 @@ class TestEvaluate:
             "--out", tmp_path / "m.json",
         ) == 2
 
+    @pytest.mark.parametrize("side", ["predictions", "responses"])
+    def test_non_finite_input_is_input_error(self, tmp_path, side):
+        values = [0.5, 1.5, -0.25]
+        bad = [0.5, float("nan"), -0.25]
+        pred = tmp_path / "p.csv"
+        self.write_predictions(pred, bad if side == "predictions" else values)
+        truth = tmp_path / "y.csv"
+        truth.write_text("y\n" + "\n".join(
+            repr(v) for v in (bad if side == "responses" else values)) + "\n")
+        out = tmp_path / "m.json"
+        assert run_cli(
+            "evaluate", "--predictions", pred, "--responses", truth, "--out", out,
+        ) == 2
+        assert not out.exists()
+
     def test_recovery_against_truth(self, sim_dir, fitted, tmp_path):
         meta = storage.load_json(sim_dir / "meta.json")
         _, omega = storage.read_matrix_csv(sim_dir / "omega_true.csv")
@@ -305,6 +335,15 @@ class TestEvaluate:
         est = model.factorization.dictionary.T @ model.factorization.loadings
         assert metrics["recovery"] == pytest.approx(np.linalg.norm(est - omega.T))
         assert meta["n"] == 60
+
+
+def test_json_output_rejects_non_finite(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError):
+        storage.dump_json(path, {"mse": float("nan")})
+    assert not path.exists()
+    with pytest.raises(ValueError):
+        storage.write_trace_jsonl(tmp_path / "t.jsonl", [{"objective": float("inf")}])
 
 
 def test_auroc_rank_sum_ties_and_separation():

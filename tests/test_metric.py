@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from persreg.metric import (
     auto_radius,
-    brute_force_neighbor_sets,
     feature_distance,
     neighbor_pairs,
     neighbor_sets,
+    pairwise_squared,
     precompute_cache,
     weighted_distance,
 )
@@ -122,93 +122,140 @@ class TestPrecomputeCache:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def balls(Z, radius):
+    """Neighbor balls as lists of indices, one per sample."""
+    members = neighbor_sets(pairwise_squared(Z), radius)
+    return [list(np.flatnonzero(row)) for row in members]
+
+
+def oracle_members(Z, radius):
+    """Membership matrix of the double-loop oracle."""
+    n = Z.shape[1]
+    members = np.zeros((n, n), dtype=bool)
+    for i, ball in enumerate(brute_neighbor_sets(Z, radius)):
+        members[i, ball] = True
+    return members
+
+
+def upper_triangle_radius(Z, target):
+    """The automatic radius taken the plain way: the m-th smallest entry of
+    the upper triangle, nudged up."""
+    n = Z.shape[1]
+    upper = pairwise_squared(Z)[np.triu_indices(n, k=1)]
+    m = min(int(np.ceil(target * n / 2.0)), upper.size)
+    kth = float(np.partition(upper, m - 1)[m - 1])
+    return 1e-12 if kth == 0.0 else kth * (1.0 + 1e-12)
+
+
+class TestPairwiseSquared:
+    @pytest.mark.parametrize("block", [1, 200, 1 << 16])
+    def test_blocks_match_whole_matrix(self, monkeypatch, block):
+        # one row per block, 3 rows with a short last block, one block
+        import persreg.metric
+
+        rng = np.random.default_rng(block)
+        Z = rng.standard_normal((3, 53))
+        want = np.zeros((53, 53))
+        for row in Z:
+            diff = row[:, None] - row[None, :]
+            want += diff * diff
+        monkeypatch.setattr(persreg.metric, "PAIRWISE_BLOCK", block)
+        got = pairwise_squared(Z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, got.T) and not got.diagonal().any()
+
+
 class TestNeighborSets:
     def test_single_sample(self):
-        sets = neighbor_sets(np.zeros((2, 1)), 1.0)
-        assert len(sets) == 1 and sets[0].size == 0
+        members = neighbor_sets(pairwise_squared(np.zeros((2, 1))), 1.0)
+        assert members.shape == (1, 1) and not members.any()
 
     def test_one_dimensional_hand_case(self):
-        sets = neighbor_sets(np.array([[0.0, 1.0, 3.0]]), 1.5)
-        assert [list(s) for s in sets] == [[1], [0], []]
+        assert balls(np.array([[0.0, 1.0, 3.0]]), 1.5) == [[1], [0], []]
 
     def test_large_radius_gives_complete_graph(self):
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((2, 9))
-        sets = neighbor_sets(Z, 1e9)
-        for i, members in enumerate(sets):
-            assert list(members) == [j for j in range(9) if j != i]
+        for i, ball in enumerate(balls(Z, 1e9)):
+            assert ball == [j for j in range(9) if j != i]
 
     def test_boundary_is_exclusive(self):
         # squared distance exactly equal to the radius is not a neighbor
-        sets = neighbor_sets(np.array([[0.0, 2.0]]), 4.0)
-        assert all(s.size == 0 for s in sets)
+        assert balls(np.array([[0.0, 2.0]]), 4.0) == [[], []]
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="radius"):
-            neighbor_sets(np.zeros((1, 2)), 0.0)
+            neighbor_sets(pairwise_squared(np.zeros((1, 2))), 0.0)
 
     def test_symmetric_relation(self):
         rng = np.random.default_rng(3)
-        Z = rng.standard_normal((3, 40))
-        sets = neighbor_sets(Z, 2.0)
-        for i, members in enumerate(sets):
-            for j in members:
-                assert i in sets[j]
+        members = neighbor_sets(pairwise_squared(rng.standard_normal((3, 40))), 2.0)
+        assert np.array_equal(members, members.T)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 120), st.integers(1, 3))
-    def test_grid_matches_brute_force(self, seed, n, q):
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 3))
+    @example(11, 200, 2)
+    def test_matches_reference_loops(self, seed, n, q):
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((q, n))
         radius = float(rng.uniform(0.05, 2.0))
-        got = neighbor_sets(Z, radius)
-        want = brute_force_neighbor_sets(Z, radius)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    def test_grid_path_matches_reference_loops(self):
-        rng = np.random.default_rng(11)
-        Z = rng.standard_normal((2, 200))  # large enough to take the grid path
-        radius = 0.3
-        got = neighbor_sets(Z, radius)
-        want = brute_neighbor_sets(Z, radius)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        got = neighbor_sets(pairwise_squared(Z), radius)
+        assert np.array_equal(got, oracle_members(Z, radius))
 
     def test_pairs_are_sorted_by_i_then_j(self):
         rng = np.random.default_rng(5)
-        sets = neighbor_sets(rng.standard_normal((2, 30)), 1.0)
-        i_idx, j_idx = neighbor_pairs(sets)
+        members = neighbor_sets(pairwise_squared(rng.standard_normal((2, 30))), 1.0)
+        i_idx, j_idx = neighbor_pairs(members)
         order = np.lexsort((j_idx, i_idx))
         assert np.array_equal(order, np.arange(len(i_idx)))
+        assert np.array_equal(members[i_idx, j_idx], np.ones(len(i_idx), dtype=bool))
+        assert len(i_idx) == members.sum()
 
 
 class TestAutoRadius:
     def test_two_points_forced(self):
         Z = np.array([[0.0, 2.0]])
-        r = auto_radius(Z, 1.0)
+        r = auto_radius(pairwise_squared(Z), 1.0)
         assert r > 4.0
-        sets = neighbor_sets(Z, r)
-        assert [list(s) for s in sets] == [[1], [0]]
+        assert balls(Z, r) == [[1], [0]]
 
     def test_one_dimensional_hand_case(self):
         Z = np.array([[0.0, 1.0, 3.0]])
-        r = auto_radius(Z, 2.0)
+        r = auto_radius(pairwise_squared(Z), 2.0)
         assert 9.0 < r < 9.0 * (1.0 + 1e-11)
-        sets = neighbor_sets(Z, r)
-        assert all(len(s) == 2 for s in sets)
+        assert all(len(ball) == 2 for ball in balls(Z, r))
 
     def test_identical_points_degenerate(self):
         Z = np.zeros((2, 5))
-        r = auto_radius(Z, 2.0)
+        r = auto_radius(pairwise_squared(Z), 2.0)
         assert r == 1e-12
-        sets = neighbor_sets(Z, r)
-        assert all(len(s) == 4 for s in sets)
+        assert all(len(ball) == 4 for ball in balls(Z, r))
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            auto_radius(np.zeros((1, 1)), 1.0)
+            auto_radius(pairwise_squared(np.zeros((1, 1))), 1.0)
 
     def test_target_range_validated(self):
         with pytest.raises(ValueError):
-            auto_radius(np.zeros((1, 3)), 2.5)
+            auto_radius(pairwise_squared(np.zeros((1, 3))), 2.5)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_duplicate_columns_match_upper_triangle(self, seed):
+        # repeated loading columns put zeros off the diagonal
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        Z = rng.standard_normal((2, n))[:, rng.integers(0, max(1, n // 3), size=n)]
+        target = float(rng.uniform(0.1, n - 1))
+        got = auto_radius(pairwise_squared(Z), target)
+        assert got == upper_triangle_radius(Z, target)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_largest_target_takes_largest_pair(self, n):
+        # m = n(n - 1) / 2, the last pair distance
+        Z = np.random.default_rng(n).standard_normal((3, n))
+        sq = pairwise_squared(Z)
+        r = auto_radius(sq, n - 1)
+        assert r == upper_triangle_radius(Z, n - 1)
+        assert r == float(sq.max()) * (1.0 + 1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     def test_average_count_near_target(self, seed):
@@ -216,7 +263,7 @@ class TestAutoRadius:
         n = int(rng.integers(20, 120))
         Z = rng.standard_normal((2, n))
         target = float(rng.uniform(1.0, min(15.0, n - 1)))
-        r = auto_radius(Z, target)
-        sets = neighbor_sets(Z, r)
-        avg = sum(len(s) for s in sets) / n
+        r = auto_radius(pairwise_squared(Z), target)
+        assert r == upper_triangle_radius(Z, target)
+        avg = sum(len(ball) for ball in balls(Z, r)) / n
         assert target - 1.0 <= avg <= target + 1.0

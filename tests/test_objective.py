@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from persreg.metric import neighbor_sets, precompute_cache
+from persreg.metric import (
+    neighbor_pairs,
+    neighbor_sets,
+    pairwise_squared,
+    precompute_cache,
+)
 from persreg.model import CovariateTable, Dataset, Factorization, HyperParams
 from persreg.objective import (
+    NeighborPairs,
     NumericalError,
     batch_loss_subgradients,
     batch_losses,
     composite_objective,
-    distance_match_gradients,
-    distance_match_values,
+    distance_match,
     l1_term,
     loss_subgradient,
     predictive_loss,
@@ -107,43 +112,49 @@ class TestL1Term:
         assert sub[0] == 0.0 and sub[1] == 0.0 and sub[2] == 1.0
 
 
+def pairs_within(loadings, radius, cache):
+    """Neighbor pairs of the loadings at a fixed radius, with their
+    covariate distances."""
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(pairwise_squared(loadings), radius))
+    return NeighborPairs(i_idx, j_idx, cache.distances[:, i_idx, j_idx])
+
+
 def two_sample_setup(z_values, u_values, radius=10.0):
     loadings = np.asarray(z_values, dtype=float)
     table = CovariateTable.continuous(np.asarray(u_values, dtype=float))
     cache = precompute_cache(table)
-    sets = neighbor_sets(loadings, radius)
-    return loadings, cache, sets
+    return loadings, pairs_within(loadings, radius, cache)
 
 
 class TestDistanceMatchValues:
     def test_identical_samples_give_zero(self):
-        loadings, cache, sets = two_sample_setup(
+        loadings, pairs = two_sample_setup(
             np.zeros((2, 3)), np.zeros((3, 2)), radius=1.0
         )
-        got = distance_match_values(loadings, np.ones(2), cache, sets, 5.0)
+        got = distance_match(loadings, np.ones(2), pairs, 5.0)[0]
         assert np.array_equal(got, np.zeros(3))
 
     def test_two_sample_hand_value(self):
         # learned distance 2, squared loading distance 1, strength 2
-        loadings, cache, sets = two_sample_setup(
+        loadings, pairs = two_sample_setup(
             [[0.0, 1.0]], [[0.0], [2.0]], radius=10.0
         )
-        got = distance_match_values(loadings, np.ones(1), cache, sets, 2.0)
+        got = distance_match(loadings, np.ones(1), pairs, 2.0)[0]
         assert np.array_equal(got, [1.0, 1.0])
 
     def test_zero_strength_disables(self):
-        loadings, cache, sets = two_sample_setup(
+        loadings, pairs = two_sample_setup(
             [[0.0, 1.0]], [[0.0], [2.0]], radius=10.0
         )
-        got = distance_match_values(loadings, np.ones(1), cache, sets, 0.0)
+        got = distance_match(loadings, np.ones(1), pairs, 0.0)[0]
         assert np.array_equal(got, np.zeros(2))
 
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(3)
         loadings = rng.standard_normal((2, 20))
         cache = precompute_cache(CovariateTable.continuous(rng.uniform(size=(20, 3))))
-        sets = neighbor_sets(loadings, 1.0)
-        got = distance_match_values(loadings, rng.uniform(size=3), cache, sets, 7.0)
+        pairs = pairs_within(loadings, 1.0, cache)
+        got = distance_match(loadings, rng.uniform(size=3), pairs, 7.0)[0]
         assert np.all(got >= 0.0)
 
 
@@ -157,18 +168,18 @@ class TestDistanceMatchGradients:
             cache = precompute_cache(
                 CovariateTable.continuous(rng.uniform(size=(n, 2)))
             )
-            sets = neighbor_sets(loadings, float(rng.uniform(0.5, 4.0)))
-            gz, _ = distance_match_gradients(
-                loadings, rng.uniform(size=2), cache, sets, float(rng.uniform(0.5, 2))
-            )
+            pairs = pairs_within(loadings, float(rng.uniform(0.5, 4.0)), cache)
+            gz, _ = distance_match(
+                loadings, rng.uniform(size=2), pairs, float(rng.uniform(0.5, 2))
+            )[1:]
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
 
     def test_matched_distances_give_zero_gradient(self):
         # squared loading distance 1 equals the learned distance
-        loadings, cache, sets = two_sample_setup(
+        loadings, pairs = two_sample_setup(
             [[0.0, 1.0]], [[0.0], [1.0]], radius=10.0
         )
-        gz, gw = distance_match_gradients(loadings, np.ones(1), cache, sets, 3.0)
+        gz, gw = distance_match(loadings, np.ones(1), pairs, 3.0)[1:]
         assert np.array_equal(gz, np.zeros((1, 2)))
         assert np.array_equal(gw, np.zeros(1))
 
@@ -179,33 +190,22 @@ class TestDistanceMatchGradients:
             loadings = rng.standard_normal((q, n))
             weights = rng.uniform(0.5, 1.5, size=k)
             cache = precompute_cache(CovariateTable.continuous(rng.uniform(size=(n, k))))
-            # keep the radius away from every pairwise distance so the sets
+            # keep the radius away from every pairwise distance so the pairs
             # are locally constant under the finite-difference probes
-            from persreg.metric import _pairwise_squared
-
-            sq = _pairwise_squared(loadings)
+            sq = pairwise_squared(loadings)
             vals = np.sort(sq[np.triu_indices(n, k=1)])
             radius = float(0.5 * (vals[len(vals) // 2] + vals[len(vals) // 2 + 1]))
-            sets = neighbor_sets(loadings, radius)
+            pairs = pairs_within(loadings, radius, cache)
             strength = 2.5
 
             def total_from_loadings(flat):
-                return float(
-                    np.sum(
-                        distance_match_values(
-                            flat.reshape(q, n), weights, cache, sets, strength
-                        )
-                    )
-                )
+                values = distance_match(flat.reshape(q, n), weights, pairs, strength)[0]
+                return float(np.sum(values))
 
             def total_from_weights(w):
-                return float(
-                    np.sum(
-                        distance_match_values(loadings, w, cache, sets, strength)
-                    )
-                )
+                return float(np.sum(distance_match(loadings, w, pairs, strength)[0]))
 
-            gz, gw = distance_match_gradients(loadings, weights, cache, sets, strength)
+            gz, gw = distance_match(loadings, weights, pairs, strength)[1:]
             want_z = central_difference(total_from_loadings, loadings.ravel(), 1e-6)
             want_w = central_difference(total_from_weights, weights, 1e-6)
             assert relative_error(gz.ravel(), want_z) <= 1e-6
@@ -268,8 +268,8 @@ class TestCompositeObjective:
             l1=0.05, distance_match=1.2, weights_anchor=0.4, latent_dim=q, radius=2.0,
             target_neighbors=None,
         )
-        sets = neighbor_sets(fact.loadings, 2.0)
-        bundle = composite_objective(fact, weights, ds, cache, hyper, sets=sets)
+        pairs = pairs_within(fact.loadings, 2.0, cache)
+        bundle = composite_objective(fact, weights, ds, cache, hyper, pairs=pairs)
 
         def value_of(loadings=None, dictionary=None, w=None):
             f = Factorization(
@@ -277,7 +277,7 @@ class TestCompositeObjective:
                 dictionary=fact.dictionary if dictionary is None else dictionary,
             )
             ww = weights if w is None else w
-            return composite_objective(f, ww, ds, cache, hyper, sets=sets).value
+            return composite_objective(f, ww, ds, cache, hyper, pairs=pairs).value
 
         want_z = central_difference(
             lambda z: value_of(loadings=z.reshape(q, n)), fact.loadings.ravel(), 1e-6
