@@ -21,23 +21,18 @@ from .model import (
     normalize_dictionary,
 )
 from .metric import (
-    DistanceCache,
+    CovariateMetric,
     auto_radius,
-    feature_distance,
     neighbor_pairs,
     neighbor_sets,
     pairwise_squared,
     precompute_cache,
-    weighted_distance,
 )
 from .objective import (
     GradientBundle,
     NumericalError,
     composite_objective,
     distance_match,
-    l1_term,
-    loss_subgradient,
-    predictive_loss,
 )
 from .optimizer import TrainState, fit, initialize, learning_rate, train_step
 from .population import (
@@ -56,9 +51,9 @@ __all__ = [
     "CLASSIFICATION",
     "CONTINUOUS",
     "REGRESSION",
+    "CovariateMetric",
     "CovariateTable",
     "Dataset",
-    "DistanceCache",
     "ElasticNetConfig",
     "ElasticNetConvergenceError",
     "Factorization",
@@ -76,14 +71,11 @@ __all__ = [
     "composite_objective",
     "distance_match",
     "evaluate_recovery",
-    "feature_distance",
     "fit",
     "fit_population",
     "generate",
     "initialize",
-    "l1_term",
     "learning_rate",
-    "loss_subgradient",
     "neighbor_pairs",
     "neighbor_sets",
     "normalize_dictionary",
@@ -92,8 +84,6 @@ __all__ = [
     "predict_batch",
     "predict_point",
     "predict_population",
-    "predictive_loss",
     "rank_neighbors",
     "train_step",
-    "weighted_distance",
 ]

@@ -18,7 +18,7 @@ from .objective import NumericalError
 from .optimizer import fit
 from .population import ElasticNetConvergenceError
 from .predictor import predict_point
-from .simulate import generate
+from .simulate import generate, r_squared
 from .storage import ensure_dir
 
 HYPER_KEYS = tuple(storage.hyper_to_dict(HyperParams()))
@@ -289,23 +289,11 @@ def run_evaluate(args) -> int:
             f"got {y_hat.shape[0]} predictions for {y_true.shape[0]} responses"
         )
 
-    metrics: dict = {}
-    if y_true.size:
-        metrics["mse"] = float(np.mean((y_hat - y_true) ** 2))
-        degenerate = (
-            y_true.size < 2
-            or float(np.std(y_hat)) == 0.0
-            or float(np.std(y_true)) == 0.0
-        )
-        if degenerate:
-            metrics["r2"] = 0.0
-            metrics["r2_degenerate"] = True
-        else:
-            corr = float(np.corrcoef(y_hat, y_true)[0, 1])
-            metrics["r2"] = corr * corr
-    else:
-        metrics["mse"] = 0.0
-        metrics["r2"] = 0.0
+    metrics: dict = {
+        "mse": float(np.mean((y_hat - y_true) ** 2)) if y_true.size else 0.0
+    }
+    metrics["r2"], degenerate = r_squared(y_hat, y_true)
+    if degenerate:
         metrics["r2_degenerate"] = True
 
     if args.task == CLASSIFICATION:

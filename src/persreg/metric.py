@@ -1,8 +1,12 @@
-"""Covariate metrics, the learned weighted distance, the pairwise distance
-cache, and neighbor-ball queries over the loading space.
+"""The learned covariate metric over an encoded table, and neighbor-ball
+queries over the loading space.
 
-The per-covariate distances never change during training, so they are
-computed once into a (k, n, n) cache.  Neighbor balls live on squared
+The covariate metric reads the training table in an encoded form, built
+once per table on first use: continuous columns as float64, each
+categorical column as integer codes into its sorted distinct labels.
+Training reads per-covariate distances only at the neighbor pairs of each
+step, and prediction only from one row to every sample, so no pairwise
+matrix over the covariates is ever built.  Neighbor balls live on squared
 Euclidean distance between loading columns: one dense (n, n) matrix per
 query, from which both the automatic radius and the neighbor pairs are
 read.
@@ -10,98 +14,89 @@ read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import CATEGORICAL, CONTINUOUS, COVARIATE_KINDS, CovariateTable
+from .model import CONTINUOUS, CovariateTable
 
 RADIUS_NUDGE = 1e-12
 # entries of the scratch block pairwise_squared fills per pass (512 KB)
 PAIRWISE_BLOCK = 1 << 16
 
 
-def feature_distance(kind: str, a, b) -> float:
-    """Distance between two values of a single covariate.
+class CovariateMetric:
+    """Per-covariate distances over an encoded covariate table.
 
     Continuous columns use absolute difference, categorical columns the
-    0/1 discrete metric.
+    0/1 discrete metric, evaluated as an inequality of integer codes.  The
+    learned distance is the nonnegative weighted sum of the per-covariate
+    distances.
     """
-    if kind == CONTINUOUS:
-        a, b = float(a), float(b)
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError("continuous covariate values must be finite")
-        return abs(a - b)
-    if kind == CATEGORICAL:
-        return 0.0 if str(a) == str(b) else 1.0
-    raise ValueError(f"unknown metric kind {kind!r}, expected one of {COVARIATE_KINDS}")
 
-
-def weighted_distance(weights, u, v, kinds) -> float:
-    """Learned covariate distance: nonnegative weighted sum of per-column
-    metrics, evaluated from raw covariate rows."""
-    weights = np.asarray(weights, dtype=float)
-    u, v = tuple(u), tuple(v)
-    if not (weights.shape[0] == len(u) == len(v) == len(kinds)):
-        raise ValueError(
-            f"weights ({weights.shape[0]}), rows ({len(u)}, {len(v)}) and kinds "
-            f"({len(kinds)}) must have equal length"
-        )
-    total = 0.0
-    for idx in range(weights.shape[0]):
-        total += float(weights[idx]) * feature_distance(kinds[idx], u[idx], v[idx])
-    return total
-
-
-@dataclass(frozen=True)
-class DistanceCache:
-    """Per-covariate pairwise distances, (k, n, n), symmetric, zero diagonal."""
-
-    distances: np.ndarray
-    kinds: tuple
-
-    def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float)
-        if d.ndim != 3 or d.shape[1] != d.shape[2]:
-            raise ValueError("cache must be a (k, n, n) array")
-        d.setflags(write=False)
-        object.__setattr__(self, "distances", d)
+    def __init__(self, table: CovariateTable):
+        values, labels = [], []
+        for col, kind in zip(table.columns, table.kinds):
+            if kind == CONTINUOUS:
+                values.append(col)
+                labels.append(None)
+            else:
+                distinct, codes = np.unique(col, return_inverse=True)
+                values.append(codes)
+                labels.append(distinct)
+        self.values = tuple(values)
+        self.labels = tuple(labels)
 
     @property
     def width(self) -> int:
-        return self.distances.shape[0]
+        return len(self.values)
 
-    @property
-    def n_samples(self) -> int:
-        return self.distances.shape[1]
+    def __len__(self) -> int:
+        return len(self.values[0])
 
-    def pair_distance(self, weights, i: int, j: int) -> float:
-        """Learned distance between training samples i and j."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape[0] != self.width:
-            raise ValueError("weights length must match cache width")
-        total = 0.0
-        for idx in range(self.width):
-            total += float(weights[idx]) * float(self.distances[idx, i, j])
-        return total
+    def pair_distances(self, i_idx, j_idx) -> np.ndarray:
+        """(k, P) per-covariate distances between samples i_idx[p] and
+        j_idx[p]."""
+        out = np.empty((self.width, len(i_idx)), dtype=float)
+        for dist, vals, labels in zip(out, self.values, self.labels):
+            if labels is None:
+                np.abs(vals[i_idx] - vals[j_idx], out=dist)
+            else:
+                np.not_equal(vals[i_idx], vals[j_idx], out=dist)
+        return out
+
+    def row_distances(self, weights, row) -> np.ndarray:
+        """Learned distance from one covariate row to every sample.
+
+        ``row`` follows the table's schema (``CovariateTable.validate_row``).
+        The weighted per-covariate distances are added column by column.  A
+        label absent from the table gets code -1, so it differs from every
+        sample.
+        """
+        if not len(weights) == len(row) == self.width:
+            raise ValueError("weights and row must cover every covariate")
+        dists = np.zeros(len(self), dtype=float)
+        per = np.empty(len(self), dtype=float)
+        for w, vals, labels, value in zip(weights, self.values, self.labels, row):
+            if labels is None:
+                np.subtract(vals, value, out=per)
+                np.abs(per, out=per)
+            else:
+                pos = int(np.searchsorted(labels, value))
+                code = pos if pos < len(labels) and labels[pos] == value else -1
+                np.not_equal(vals, code, out=per)
+            per *= w
+            dists += per
+        return dists
 
 
-def precompute_cache(covariates: CovariateTable) -> DistanceCache:
-    """Build the (k, n, n) per-covariate distance cache for a training table."""
-    n = len(covariates)
-    mats = np.empty((covariates.width, n, n), dtype=float)
-    for idx, (col, kind) in enumerate(zip(covariates.columns, covariates.kinds)):
-        if kind == CONTINUOUS:
-            vals = np.asarray(col, dtype=float)
-            mats[idx] = np.abs(vals[:, None] - vals[None, :])
-        else:
-            labels = np.asarray(col, dtype=object)
-            mats[idx] = (labels[:, None] != labels[None, :]).astype(float)
-    return DistanceCache(distances=mats, kinds=covariates.kinds)
+def precompute_cache(covariates: CovariateTable) -> CovariateMetric:
+    """The covariate metric of a training table, encoded on first use and
+    kept by the table."""
+    return covariates.metric
 
 
-def pairwise_squared(loadings: np.ndarray) -> np.ndarray:
-    """Full (n, n) squared Euclidean distances between loading columns.
+def pairwise_squared(loadings: np.ndarray, out=None) -> np.ndarray:
+    """Full (n, n) squared Euclidean distances between loading columns,
+    written into ``out`` when given.
 
     Accumulated dimension by dimension, so every entry equals a per-pair
     loop over the dimensions bit for bit, and the matrix is exactly
@@ -111,7 +106,7 @@ def pairwise_squared(loadings: np.ndarray) -> np.ndarray:
     if loadings.ndim != 2:
         raise ValueError("loadings must be a (q, n) array")
     n = loadings.shape[1]
-    sq = np.empty((n, n), dtype=float)
+    sq = np.empty((n, n), dtype=float) if out is None else out
     # a few rows at a time, so the scratch buffer stays in cache
     rows = max(1, PAIRWISE_BLOCK // max(n, 1))
     diff = np.empty((rows, n), dtype=float)
@@ -151,7 +146,7 @@ def neighbor_pairs(members: np.ndarray) -> tuple:
     return np.divmod(flat, members.shape[1])
 
 
-def auto_radius(sq: np.ndarray, target_avg: float) -> float:
+def auto_radius(sq: np.ndarray, target_avg: float, scratch=None) -> float:
     """Radius giving roughly ``target_avg`` neighbors per sample.
 
     Takes the m-th smallest squared distance over unordered pairs, with
@@ -160,7 +155,8 @@ def auto_radius(sq: np.ndarray, target_avg: float) -> float:
     ``sq`` is the matrix of ``pairwise_squared``: it is exactly symmetric
     with n zeros on its diagonal, so its flattened order statistic
     n + 2m - 1 is that pair distance (the diagonal sorts first and every
-    pair appears twice).
+    pair appears twice).  The order statistic is selected in a copy of
+    ``sq``, held in ``scratch`` (n * n floats) when given.
     """
     n = sq.shape[0]
     if n < 2:
@@ -169,7 +165,10 @@ def auto_radius(sq: np.ndarray, target_avg: float) -> float:
         raise ValueError(f"target_avg must lie in (0, {n - 1}], got {target_avg}")
     m = min(int(np.ceil(target_avg * n / 2.0)), n * (n - 1) // 2)
     kth = n + 2 * m - 1
-    value = float(np.partition(sq.ravel(), kth)[kth])
+    flat = np.empty(sq.size, dtype=float) if scratch is None else scratch
+    np.copyto(flat, sq.ravel())
+    flat.partition(kth)
+    value = float(flat[kth])
     if value == 0.0:
         return RADIUS_NUDGE
     return value * (1.0 + RADIUS_NUDGE)

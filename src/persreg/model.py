@@ -10,6 +10,7 @@ drifting apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,14 @@ class CovariateTable:
     @property
     def width(self) -> int:
         return len(self.columns)
+
+    @cached_property
+    def metric(self):
+        """The covariate metric over this table (``metric.CovariateMetric``),
+        encoded on first use, so building or loading a table encodes nothing."""
+        from .metric import CovariateMetric  # metric.py imports this module
+
+        return CovariateMetric(self)
 
     def row(self, i: int) -> tuple:
         return tuple(col[i] for col in self.columns)

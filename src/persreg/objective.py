@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metric import (
-    DistanceCache,
+    CovariateMetric,
     auto_radius,
     neighbor_pairs,
     neighbor_sets,
@@ -30,7 +30,6 @@ from .model import (
     Factorization,
     HyperParams,
     coefficient_matrix,
-    validate_task,
 )
 
 
@@ -53,49 +52,10 @@ class GradientBundle:
     grad_weights: np.ndarray  # k
 
 
-def _logistic_value(z: float, y: float) -> float:
-    # log(1 + e^z) - y z, written to avoid overflow for |z| large
-    return max(z, 0.0) - y * z + np.log1p(np.exp(-abs(z)))
-
-
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    ez = np.exp(z)
-    return ez / (1.0 + ez)
-
-
-def _check_label(y: float):
-    if y not in (0.0, 1.0):
-        raise ValueError(f"classification response must be 0 or 1, got {y}")
-
-
-def predictive_loss(x, y, coef, task: str) -> float:
-    """Squared error for regression, stabilized log loss for classification."""
-    x = np.asarray(x, dtype=float)
-    coef = np.asarray(coef, dtype=float)
-    validate_task(task)
-    z = float(x @ coef)
-    if task == REGRESSION:
-        r = float(y) - z
-        return r * r
-    _check_label(float(y))
-    return float(_logistic_value(z, float(y)))
-
-
-def loss_subgradient(x, y, coef, task: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    coef = np.asarray(coef, dtype=float)
-    validate_task(task)
-    z = float(x @ coef)
-    if task == REGRESSION:
-        return -2.0 * (float(y) - z) * x
-    _check_label(float(y))
-    return (_sigmoid_scalar(z) - float(y)) * x
-
-
 def batch_losses(X, y, coefficients, task: str) -> np.ndarray:
-    """Per-sample losses for coefficient columns (p x n) against (n, p) data."""
+    """Per-sample losses for coefficient columns (p x n) against (n, p) data:
+    squared error for regression, log loss for classification, written as
+    max(z, 0) - y z + log1p(exp(-|z|)) so large |z| cannot overflow."""
     z = np.einsum("ij,ji->i", X, coefficients)
     if task == REGRESSION:
         r = y - z
@@ -118,18 +78,6 @@ def batch_loss_subgradients(X, y, coefficients, task: str) -> np.ndarray:
     return X.T * scale[None, :]
 
 
-def l1_term(coef, strength: float) -> tuple:
-    """Value and the chosen subgradient of the l1 penalty.
-
-    The subgradient is exactly zero at zero coordinates, which is the choice
-    the center-of-mass analysis assumes.
-    """
-    if strength < 0:
-        raise ValueError("l1 strength must be >= 0")
-    coef = np.asarray(coef, dtype=float)
-    return strength * float(np.sum(np.abs(coef))), strength * np.sign(coef)
-
-
 class NeighborPairs(NamedTuple):
     """Ordered neighbor pairs, sorted ascending by (i, j), with the (k, P)
     per-covariate distances of every pair."""
@@ -139,25 +87,32 @@ class NeighborPairs(NamedTuple):
     distances: np.ndarray
 
 
-def resolve_pairs(loadings, cache: DistanceCache, hyper: HyperParams) -> tuple:
+def resolve_pairs(
+    loadings, metric: CovariateMetric, hyper: HyperParams, scratch=None
+) -> tuple:
     """Neighbor-ball radius and pairs of the current loadings.
 
     One squared-distance matrix gives both: the fixed radius if configured,
     otherwise the automatic choice with the neighbor target clipped to
     n - 1.  Without distance matching, or with fewer than two samples, the
-    radius is None and there are no pairs.
+    radius is None and there are no pairs.  ``scratch``, when given, is a
+    (2, n, n) float buffer that holds the matrix and the radius's working
+    copy, so that a training loop allocates them once.
     """
     n = loadings.shape[1]
     if n < 2 or hyper.distance_match == 0.0:
         none = np.empty(0, dtype=np.intp)
-        return None, NeighborPairs(none, none, cache.distances[:, none, none])
-    sq = pairwise_squared(loadings)
+        return None, NeighborPairs(none, none, metric.pair_distances(none, none))
+    if scratch is None:
+        scratch = np.empty((2, n, n), dtype=float)
+    sq = pairwise_squared(loadings, out=scratch[0])
     if hyper.radius is not None:
         radius = float(hyper.radius)
     else:
-        radius = auto_radius(sq, min(float(hyper.target_neighbors), float(n - 1)))
+        target = min(float(hyper.target_neighbors), float(n - 1))
+        radius = auto_radius(sq, target, scratch=scratch[1].ravel())
     i_idx, j_idx = neighbor_pairs(neighbor_sets(sq, radius))
-    return radius, NeighborPairs(i_idx, j_idx, cache.distances[:, i_idx, j_idx])
+    return radius, NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
 
 
 def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:
@@ -210,7 +165,7 @@ def composite_objective(
     fact: Factorization,
     weights,
     dataset: Dataset,
-    cache: DistanceCache,
+    metric: CovariateMetric,
     hyper: HyperParams,
     pairs: NeighborPairs | None = None,
 ) -> GradientBundle:
@@ -235,11 +190,13 @@ def composite_objective(
 
     loss_grads = batch_loss_subgradients(X, y, coefficients, task)
     penalty_value = hyper.l1 * float(np.sum(np.abs(coefficients)))
+    # exactly zero at zero coordinates: the subgradient choice the
+    # center-of-mass analysis assumes
     penalty_grads = hyper.l1 * np.sign(coefficients)
     data_grads = loss_grads + penalty_grads  # p x n
 
     if pairs is None:
-        _, pairs = resolve_pairs(fact.loadings, cache, hyper)
+        _, pairs = resolve_pairs(fact.loadings, metric, hyper)
     match_vals, match_gz, match_gw = distance_match(
         fact.loadings, weights, pairs, hyper.distance_match
     )

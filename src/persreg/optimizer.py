@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metric import DistanceCache, precompute_cache
+from .metric import CovariateMetric, precompute_cache
 from .model import (
     REGRESSION,
     Dataset,
@@ -123,7 +123,11 @@ def _weight_rate_limit(alpha: float, pair_distances, hyper) -> float:
 
 
 def train_step(
-    state: TrainState, dataset: Dataset, cache: DistanceCache, hyper: HyperParams
+    state: TrainState,
+    dataset: Dataset,
+    metric: CovariateMetric,
+    hyper: HyperParams,
+    scratch=None,
 ) -> TrainState:
     """One descent iteration.
 
@@ -131,13 +135,14 @@ def train_step(
     loading, and dictionary blocks then move simultaneously.  Loading column
     i is scaled by the global rate divided by the (floored) infinity-norm
     distance of its coefficients from the population anchor.  The weight
-    projection keeps the metric nonnegative.
+    projection keeps the metric nonnegative.  ``scratch`` is the neighbor
+    pass's (2, n, n) buffer (see ``resolve_pairs``), reused across steps.
     """
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
-    radius, pairs = resolve_pairs(fact.loadings, cache, hyper)
-    bundle = composite_objective(fact, weights, dataset, cache, hyper, pairs=pairs)
+    radius, pairs = resolve_pairs(fact.loadings, metric, hyper, scratch)
+    bundle = composite_objective(fact, weights, dataset, metric, hyper, pairs=pairs)
 
     rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
     new_weights = np.maximum(0.0, weights - rate_w * bundle.grad_weights)
@@ -212,8 +217,11 @@ def fit(
             l1=hyper.l1, l2=1e-4 * hyper.l1, fit_task=dataset.task
         )
     pop = fit_population(dataset, population_cfg)
-    cache = precompute_cache(dataset.covariates)
+    metric = precompute_cache(dataset.covariates)
     state = initialize(dataset, hyper, pop, seed)
+    # reused by every step: fresh n * n arrays each step cost page faults
+    # that outweigh a small fit's arithmetic
+    scratch = np.empty((2, dataset.n, dataset.n)) if hyper.max_iters else None
 
     tracing = trace_fn is not None
     com = center_of_mass(state.factorization) if tracing else None
@@ -221,7 +229,7 @@ def fit(
         prev_value = state.last_value
         alpha = learning_rate(hyper, state.iteration)
         step_index = state.iteration
-        state = train_step(state, dataset, cache, hyper)
+        state = train_step(state, dataset, metric, hyper, scratch)
         if tracing:
             new_com = center_of_mass(state.factorization)
             record = {

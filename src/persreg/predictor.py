@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CATEGORICAL, CLASSIFICATION, TrainedModel
+from .model import CLASSIFICATION, TrainedModel
 
 
 @dataclass(frozen=True)
@@ -22,23 +22,10 @@ class Prediction:
     neighbor_dists: np.ndarray
 
 
-def _covariate_distances(model: TrainedModel, u_row) -> np.ndarray:
-    """Learned distance from one covariate row to every training sample."""
-    table = model.train_covariates
-    row = table.validate_row(u_row)
-    dists = np.zeros(len(table), dtype=float)
-    for idx, (col, kind) in enumerate(zip(table.columns, table.kinds)):
-        if kind == CATEGORICAL:
-            per = (np.asarray(col, dtype=object) != row[idx]).astype(float)
-        else:
-            per = np.abs(np.asarray(col, dtype=float) - row[idx])
-        dists += model.weights[idx] * per
-    return dists
-
-
 def rank_neighbors(model: TrainedModel, u_row) -> np.ndarray:
     """Training indices ordered nearest first, ties broken by index."""
-    dists = _covariate_distances(model, u_row)
+    table = model.train_covariates
+    dists = table.metric.row_distances(model.weights, table.validate_row(u_row))
     return np.lexsort((np.arange(len(dists)), dists))
 
 
@@ -55,7 +42,8 @@ def predict_point(model: TrainedModel, x, u_row) -> Prediction:
         raise ValueError(
             f"predictor row has shape {x.shape}, expected ({model.n_predictors},)"
         )
-    dists = _covariate_distances(model, u_row)
+    table = model.train_covariates
+    dists = table.metric.row_distances(model.weights, table.validate_row(u_row))
     order = np.lexsort((np.arange(len(dists)), dists))
     kn = min(model.hyper.n_neighbors, model.n_train)
     chosen = order[:kn]

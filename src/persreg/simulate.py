@@ -108,6 +108,19 @@ class RecoveryMetrics:
     r2_degenerate: bool = False
 
 
+def r_squared(y_pred, y_true) -> tuple:
+    """Squared Pearson correlation of predictions and responses, and
+    whether it is degenerate.
+
+    Fewer than two values, or a constant vector, leave the correlation
+    undefined; that case gives (0.0, True).
+    """
+    if y_pred.size < 2 or float(np.std(y_pred)) == 0.0 or float(np.std(y_true)) == 0.0:
+        return 0.0, True
+    corr = float(np.corrcoef(y_pred, y_true)[0, 1])
+    return corr * corr, False
+
+
 def evaluate_recovery(estimated, true, y_pred, y_true) -> RecoveryMetrics:
     """Frobenius recovery error plus squared-Pearson R^2 and MSE.
 
@@ -128,15 +141,9 @@ def evaluate_recovery(estimated, true, y_pred, y_true) -> RecoveryMetrics:
     recovery = float(np.linalg.norm(estimated - true))
     mse = float(np.mean((y_pred - y_true) ** 2)) if y_pred.size else 0.0
 
-    degenerate = (
-        y_pred.size < 2 or float(np.std(y_pred)) == 0.0 or float(np.std(y_true)) == 0.0
-    )
+    r2, degenerate = r_squared(y_pred, y_true)
     if degenerate:
         warnings.warn("constant predictions or responses; reporting R^2 = 0")
-        r2 = 0.0
-    else:
-        corr = float(np.corrcoef(y_pred, y_true)[0, 1])
-        r2 = corr * corr
     return RecoveryMetrics(
         recovery=recovery, r2=r2, mse=mse, r2_degenerate=degenerate
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -128,11 +129,23 @@ def read_schema(path) -> list:
 
 
 def dump_json(path, obj) -> None:
-    """Write strict JSON: a NaN or infinity raises before the file is opened."""
+    """Write strict JSON atomically.
+
+    A NaN or infinity raises before any file is opened.  The text goes to a
+    temporary file in the target's directory, which then replaces the
+    target, so a failed write never leaves a partial file behind.
+    """
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_json(path):

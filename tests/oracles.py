@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the library.
 
 These deliberately recompute things the slow, obvious way: plain double
-loops for neighbor queries, scalar accumulation for the distance-matching
-terms (walking ordered pairs ascending and mirroring the library's
-documented accumulation order so exact comparison is meaningful), and
-central finite differences for gradients.
+loops for neighbor queries and covariate distances, scalar accumulation
+for the distance-matching terms (walking ordered pairs ascending and
+mirroring the library's documented accumulation order so exact comparison
+is meaningful), and central finite differences for gradients.
 """
 
 from __future__ import annotations
@@ -29,6 +29,24 @@ def brute_neighbor_sets(loadings: np.ndarray, radius: float) -> list:
                 members.append(j)
         sets.append(np.asarray(members, dtype=np.int64))
     return sets
+
+
+def covariate_distance_matrices(rows, kinds) -> list:
+    """Dense per-covariate distance matrices, one (n, n) array per column,
+    from raw covariate rows by a plain double loop."""
+    n = len(rows)
+    mats = []
+    for idx, kind in enumerate(kinds):
+        mat = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                a, b = rows[i][idx], rows[j][idx]
+                if kind == "continuous":
+                    mat[i, j] = abs(float(a) - float(b))
+                else:
+                    mat[i, j] = 1.0 if str(a) != str(b) else 0.0
+        mats.append(mat)
+    return mats
 
 
 def _ordered_pairs(sets):

@@ -27,10 +27,10 @@ from persreg.model import (
 )
 from persreg.objective import (
     NeighborPairs,
+    batch_loss_subgradients,
+    batch_losses,
     composite_objective,
     distance_match,
-    loss_subgradient,
-    predictive_loss,
 )
 from persreg.optimizer import fit, initialize
 from persreg.population import ElasticNetConfig, fit_population
@@ -39,6 +39,7 @@ from persreg.predictor import predict_point, rank_neighbors
 from oracles import (
     brute_neighbor_sets,
     central_difference,
+    covariate_distance_matrices,
     match_gradients_reference,
     match_values_reference,
     relative_error,
@@ -66,7 +67,7 @@ def random_match_instance(rng, n, q, k=None):
         else:
             cols.append(np.array(list(rng.choice(["a", "b", "c"], size=n)), dtype=object))
             kinds.append("categorical")
-    cache = precompute_cache(CovariateTable.from_columns(cols, kinds))
+    table = CovariateTable.from_columns(cols, kinds)
     weights = rng.uniform(0.0, 2.0, size=k)
     if n >= 2:
         sq = pairwise_squared(loadings)
@@ -75,14 +76,21 @@ def random_match_instance(rng, n, q, k=None):
     else:
         radius = 1.0
     strength = float(rng.uniform(0.5, 2.0))
-    return loadings, weights, cache, radius, strength
+    return loadings, weights, table, radius, strength
 
 
-def pairs_within(loadings, radius, cache):
+def pairs_within(loadings, radius, table):
     """Neighbor pairs of the loadings at a fixed radius, with their
     covariate distances."""
     i_idx, j_idx = neighbor_pairs(neighbor_sets(pairwise_squared(loadings), radius))
-    return NeighborPairs(i_idx, j_idx, cache.distances[:, i_idx, j_idx])
+    metric = precompute_cache(table)
+    return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
+
+
+def oracle_matrices(table):
+    """The oracle's dense per-covariate distance matrices of a table."""
+    rows = [table.row(i) for i in range(len(table))]
+    return covariate_distance_matrices(rows, table.kinds)
 
 
 def test_criterion_1_matcher_never_moves_center_of_mass():
@@ -95,10 +103,10 @@ def test_criterion_1_matcher_never_moves_center_of_mass():
         for i in range(200):
             n = sizes[i % 3]
             q = dims[(i // 3) % 3]
-            loadings, weights, cache, radius, strength = random_match_instance(
+            loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q
             )
-            pairs = pairs_within(loadings, radius, cache)
+            pairs = pairs_within(loadings, radius, table)
             _, gz, _ = distance_match(loadings, weights, pairs, strength)
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
         elapsed = time.time() - start
@@ -249,9 +257,12 @@ def test_criterion_6_gradient_oracle():
                     else float(rng.normal())
                 )
                 coef = rng.standard_normal(4)
-                got = loss_subgradient(x, y, coef, task)
+                X1, y1 = x[None, :], np.array([y])
+                got = batch_loss_subgradients(X1, y1, coef[:, None], task)[:, 0]
                 want = central_difference(
-                    lambda c: predictive_loss(x, y, c, task), coef, 1e-6
+                    lambda c: float(batch_losses(X1, y1, c[:, None], task)[0]),
+                    coef,
+                    1e-6,
                 )
                 assert relative_error(got, want) <= 1e-5
                 checked += 1
@@ -259,11 +270,11 @@ def test_criterion_6_gradient_oracle():
         # distance matcher, loading and weight blocks
         for _ in range(20):
             n, q = 10, 2
-            loadings, weights, cache, radius, strength = random_match_instance(
+            loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q, k=2
             )
             weights = weights + 0.1
-            pairs = pairs_within(loadings, radius, cache)
+            pairs = pairs_within(loadings, radius, table)
             _, gz, gw = distance_match(loadings, weights, pairs, strength)
             want_z = central_difference(
                 lambda z: float(
@@ -300,7 +311,7 @@ def test_criterion_6_gradient_oracle():
                 responses=y,
                 covariates=CovariateTable.continuous(rng.uniform(size=(n, k))),
             )
-            cache = precompute_cache(ds.covariates)
+            metric = precompute_cache(ds.covariates)
             weights = rng.uniform(0.5, 1.5, size=k)
             hyper = HyperParams(
                 l1=0.05,
@@ -310,8 +321,8 @@ def test_criterion_6_gradient_oracle():
                 radius=3.0,
                 target_neighbors=None,
             )
-            pairs = pairs_within(fact.loadings, 3.0, cache)
-            bundle = composite_objective(fact, weights, ds, cache, hyper, pairs=pairs)
+            pairs = pairs_within(fact.loadings, 3.0, ds.covariates)
+            bundle = composite_objective(fact, weights, ds, metric, hyper, pairs=pairs)
 
             def value(loadings=None, dictionary=None, w=None):
                 f = Factorization(
@@ -319,7 +330,7 @@ def test_criterion_6_gradient_oracle():
                     dictionary=fact.dictionary if dictionary is None else dictionary,
                 )
                 return composite_objective(
-                    f, weights if w is None else w, ds, cache, hyper, pairs=pairs
+                    f, weights if w is None else w, ds, metric, hyper, pairs=pairs
                 ).value
 
             assert relative_error(
@@ -375,10 +386,10 @@ def test_criterion_7_spatial_index_matches_brute_force():
         for i in range(50):
             n = sizes[i % len(sizes)]
             q = (1, 2, 3, 5)[i % 4]
-            loadings, weights, cache, radius, strength = random_match_instance(
+            loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q, k=2
             )
-            pairs = pairs_within(loadings, radius, cache)
+            pairs = pairs_within(loadings, radius, table)
             want_sets = brute_neighbor_sets(loadings, radius)
             assert np.array_equal(
                 pairs.i_idx, np.repeat(np.arange(n), [len(b) for b in want_sets])
@@ -387,13 +398,14 @@ def test_criterion_7_spatial_index_matches_brute_force():
             got_vals, got_gz, got_gw = distance_match(
                 loadings, weights, pairs, strength
             )
+            cache_mats = oracle_matrices(table)
             want_vals = match_values_reference(
-                loadings, weights, list(cache.distances), want_sets, strength
+                loadings, weights, cache_mats, want_sets, strength
             )
             assert np.array_equal(got_vals, want_vals)
             if i % 5 == 0:
                 want_gz, want_gw = match_gradients_reference(
-                    loadings, weights, list(cache.distances), want_sets, strength
+                    loadings, weights, cache_mats, want_sets, strength
                 )
                 assert np.array_equal(got_gz, want_gz)
                 assert np.array_equal(got_gw, want_gw)

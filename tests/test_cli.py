@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ class TestEvaluate:
         assert metrics["r2"] == pytest.approx(1.0)
         assert metrics["mse"] == 0.0
 
+    @pytest.mark.parametrize("values", [[0.5, 0.5, 0.5], [2.0]])
+    def test_degenerate_r2_is_flagged_without_warning(self, tmp_path, values):
+        pred = tmp_path / "p.csv"
+        self.write_predictions(pred, values)
+        truth = tmp_path / "y.csv"
+        storage.write_matrix_csv(truth, np.arange(len(values), dtype=float), ["y"])
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                "evaluate", "--predictions", pred, "--responses", truth, "--out", out
+            ) == 0
+        metrics = storage.load_json(out)
+        assert metrics["r2"] == 0.0 and metrics["r2_degenerate"] is True
+
     def test_uninformative_classifier_auroc(self, tmp_path):
         pred = tmp_path / "p.csv"
         self.write_predictions(pred, [0.5, 0.5, 0.5, 0.5])
@@ -344,6 +360,26 @@ def test_json_output_rejects_non_finite(tmp_path):
     assert not path.exists()
     with pytest.raises(ValueError):
         storage.write_trace_jsonl(tmp_path / "t.jsonl", [{"objective": float("inf")}])
+
+
+def test_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    storage.dump_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        storage.dump_json(path, {"a": float("nan")})
+    with pytest.raises(TypeError):
+        storage.dump_json(path, {"a": object()})
+
+    def replace_fails(src, dst):
+        raise OSError("disk full")
+
+    # a failure after the temporary file is written
+    monkeypatch.setattr(storage.os, "replace", replace_fails)
+    with pytest.raises(OSError, match="disk full"):
+        storage.dump_json(path, {"a": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_auroc_rank_sum_ties_and_separation():

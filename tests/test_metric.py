@@ -2,124 +2,217 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from persreg import storage
 from persreg.metric import (
     auto_radius,
-    feature_distance,
     neighbor_pairs,
     neighbor_sets,
     pairwise_squared,
     precompute_cache,
-    weighted_distance,
 )
-from persreg.model import CovariateTable
+from persreg.model import (
+    CovariateTable,
+    Factorization,
+    HyperParams,
+    TrainedModel,
+)
 
-from oracles import brute_neighbor_sets
+from oracles import brute_neighbor_sets, covariate_distance_matrices
+
+
+def mixed_table(rng, n):
+    return CovariateTable.from_columns(
+        [
+            rng.standard_normal(n),
+            np.array(list(rng.choice(["a", "b", "c"], size=n)), dtype=object),
+        ],
+        ["continuous", "categorical"],
+    )
+
+
+def all_pairs(n):
+    """Every ordered pair (i, j), row-major."""
+    return np.divmod(np.arange(n * n), n)
+
+
+def oracle_matrices(table):
+    rows = [table.row(i) for i in range(len(table))]
+    return covariate_distance_matrices(rows, table.kinds)
 
 
 class TestFeatureDistance:
+    """Per-covariate distances, read through ``pair_distances``."""
+
     def test_continuous_identity(self):
-        assert feature_distance("continuous", 0.3, 0.3) == 0.0
+        metric = CovariateTable.continuous([[0.3], [0.3]]).metric
+        assert np.array_equal(metric.pair_distances([0, 0], [0, 1]), [[0.0, 0.0]])
 
     def test_continuous_hand_value(self):
-        assert feature_distance("continuous", 1.5, -0.5) == 2.0
+        metric = CovariateTable.continuous([[1.5], [-0.5]]).metric
+        assert np.array_equal(metric.pair_distances([0], [1]), [[2.0]])
 
     def test_discrete_indicator(self):
-        assert feature_distance("categorical", "A", "B") == 1.0
-        assert feature_distance("categorical", "A", "A") == 0.0
+        table = CovariateTable.from_columns(
+            [np.array(["A", "B", "A"], dtype=object)], ["categorical"]
+        )
+        assert np.array_equal(table.metric.pair_distances([0, 0], [1, 2]), [[1.0, 0.0]])
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric kind"):
-            feature_distance("ordinal", 1, 2)
+        with pytest.raises(ValueError, match="unknown kind"):
+            CovariateTable.from_columns([np.array([1.0, 2.0])], ["ordinal"])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            feature_distance("continuous", np.nan, 0.0)
+        # the metric only ever sees finite values: tables and query rows
+        # reject the others
+        with pytest.raises(ValueError, match="non-finite"):
+            CovariateTable.continuous([[np.nan], [0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            CovariateTable.continuous([[0.0]]).validate_row((np.nan,))
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_metric_axioms_continuous(self, a, b):
-        d = feature_distance("continuous", a, b)
-        assert d >= 0.0
-        assert d == feature_distance("continuous", b, a)
-        assert (d == 0.0) == (a == b)
+        metric = CovariateTable.continuous([[a], [b]]).metric
+        d_ab, d_ba = metric.pair_distances([0, 1], [1, 0])[0]
+        assert d_ab >= 0.0
+        assert d_ab == d_ba
+        assert (d_ab == 0.0) == (a == b)
 
 
 class TestWeightedDistance:
+    """The learned distance from one covariate row, ``row_distances``."""
+
     def test_equal_rows_give_zero(self):
-        kinds = ["continuous", "categorical"]
-        assert weighted_distance([1.0, 7.0], (0.5, "x"), (0.5, "x"), kinds) == 0.0
+        table = CovariateTable.from_columns(
+            [np.array([0.5, 1.0]), np.array(["x", "y"], dtype=object)],
+            ["continuous", "categorical"],
+        )
+        got = table.metric.row_distances(np.array([1.0, 7.0]), (0.5, "x"))
+        assert np.array_equal(got, [0.0, 7.5])
 
     def test_hand_value(self):
-        kinds = ["continuous", "continuous"]
-        got = weighted_distance([1.0, 2.0], (0.5, 1.0), (0.0, 0.0), kinds)
-        assert got == pytest.approx(2.5)
+        metric = CovariateTable.continuous([[0.0, 0.0]]).metric
+        got = metric.row_distances(np.array([1.0, 2.0]), (0.5, 1.0))
+        assert np.array_equal(got, [2.5])
 
     def test_zero_weights(self):
-        kinds = ["continuous"]
-        assert weighted_distance([0.0], (3.0,), (-5.0,), kinds) == 0.0
+        metric = CovariateTable.continuous([[-5.0]]).metric
+        assert np.array_equal(metric.row_distances(np.zeros(1), (3.0,)), [0.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            weighted_distance([1.0], (0.0, 1.0), (0.0, 1.0), ["continuous"] * 2)
+        metric = CovariateTable.continuous([[0.0, 1.0]]).metric
+        with pytest.raises(ValueError, match="every covariate"):
+            metric.row_distances(np.ones(2), (0.0,))
+        with pytest.raises(ValueError, match="every covariate"):
+            metric.row_distances(np.ones(1), (0.0, 1.0))
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_mixed_kinds_match_oracle(self, seed):
+        # added column by column, in column order: bitwise the weighted rows
+        # of the dense per-covariate matrices
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        table = mixed_table(rng, n)
+        weights = rng.uniform(0.0, 2.0, size=2)
+        mats = oracle_matrices(table)
+        for i in range(n):
+            want = np.zeros(n)
+            for w, mat in zip(weights, mats):
+                want += w * mat[i]
+            got = table.metric.row_distances(weights, table.row(i))
+            assert np.array_equal(got, want)
 
     @given(
-        st.lists(st.floats(0, 10), min_size=1, max_size=4),
+        st.lists(st.floats(0, 10), min_size=2, max_size=5),
         st.data(),
     )
     def test_pseudometric_on_random_triples(self, weights, data):
+        # continuous columns, then one categorical column
         k = len(weights)
-        kinds = ["continuous"] * k
-        row = st.tuples(*[st.floats(-100, 100) for _ in range(k)])
-        u, v, w = data.draw(row), data.draw(row), data.draw(row)
-        duv = weighted_distance(weights, u, v, kinds)
-        dvw = weighted_distance(weights, v, w, kinds)
-        duw = weighted_distance(weights, u, w, kinds)
+        row = st.tuples(
+            *[st.floats(-100, 100) for _ in range(k - 1)], st.sampled_from("ab")
+        )
+        rows = [data.draw(row) for _ in range(3)]
+        table = CovariateTable.from_columns(
+            list(zip(*rows)), ["continuous"] * (k - 1) + ["categorical"]
+        )
+        weights = np.asarray(weights)
+        d = [table.metric.row_distances(weights, r) for r in rows]
+        duv, dvw, duw = d[0][1], d[1][2], d[0][2]
         assert duv >= 0.0
-        assert duv == weighted_distance(weights, v, u, kinds)
+        assert d[0][0] == 0.0
+        assert duv == d[1][0]
         assert duw <= duv + dvw + 1e-9 * (1.0 + duv + dvw)
 
 
 class TestPrecomputeCache:
+    """The encoded covariate metric of a training table."""
+
     def test_single_sample_all_zero(self):
-        cache = precompute_cache(CovariateTable.continuous([[1.0, 2.0]]))
-        assert cache.distances.shape == (2, 1, 1)
-        assert np.array_equal(cache.distances, np.zeros((2, 1, 1)))
+        metric = precompute_cache(CovariateTable.continuous([[1.0, 2.0]]))
+        assert (metric.width, len(metric)) == (2, 1)
+        assert np.array_equal(metric.pair_distances([0], [0]), np.zeros((2, 1)))
 
     def test_duplicate_rows_all_zero(self):
         table = CovariateTable.from_columns(
             [np.array([1.0, 1.0]), np.array(["a", "a"], dtype=object)],
             ["continuous", "categorical"],
         )
-        assert np.array_equal(precompute_cache(table).distances, np.zeros((2, 2, 2)))
+        got = precompute_cache(table).pair_distances(*all_pairs(2))
+        assert np.array_equal(got, np.zeros((2, 4)))
 
     def test_hand_pairwise_matrix(self):
-        cache = precompute_cache(CovariateTable.continuous([[0.0], [1.0], [3.0]]))
+        metric = precompute_cache(CovariateTable.continuous([[0.0], [1.0], [3.0]]))
         want = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-        assert np.array_equal(cache.distances[0], want)
+        assert np.array_equal(metric.pair_distances(*all_pairs(3))[0], want.ravel())
 
     @given(st.integers(0, 2**32 - 1))
     def test_exactly_symmetric_zero_diagonal(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
-        table = CovariateTable.from_columns(
-            [
-                rng.standard_normal(n),
-                np.array(list(rng.choice(["a", "b", "c"], size=n)), dtype=object),
-            ],
-            ["continuous", "categorical"],
-        )
-        mats = precompute_cache(table).distances
+        table = mixed_table(rng, n)
+        mats = precompute_cache(table).pair_distances(*all_pairs(n)).reshape(2, n, n)
+        assert np.array_equal(mats, oracle_matrices(table))
         assert np.array_equal(mats, np.swapaxes(mats, 1, 2))
-        for idx in range(mats.shape[0]):
-            assert np.array_equal(np.diag(mats[idx]), np.zeros(n))
+        for mat in mats:
+            assert np.array_equal(np.diag(mat), np.zeros(n))
 
     def test_pair_distance_matches_row_evaluation(self):
         rng = np.random.default_rng(7)
-        table = CovariateTable.continuous(rng.uniform(size=(6, 3)))
-        cache = precompute_cache(table)
-        w = rng.uniform(size=3)
-        got = cache.pair_distance(w, 1, 4)
-        want = weighted_distance(w, table.row(1), table.row(4), table.kinds)
-        assert got == pytest.approx(want, rel=1e-12)
+        table = mixed_table(rng, 6)
+        metric = precompute_cache(table)
+        w = rng.uniform(size=2)
+        total = 0.0
+        for weight, dist in zip(w, metric.pair_distances([1], [4])):
+            total += weight * dist[0]
+        assert total == metric.row_distances(w, table.row(1))[4]
+
+    def test_no_pairs(self):
+        none = np.empty(0, dtype=np.intp)
+        metric = precompute_cache(mixed_table(np.random.default_rng(0), 4))
+        assert metric.pair_distances(none, none).shape == (2, 0)
+
+    def test_encoded_once_per_table(self):
+        table = mixed_table(np.random.default_rng(1), 6)
+        metric = precompute_cache(table)
+        assert metric is table.metric
+        assert precompute_cache(table) is metric
+
+    def test_tables_encode_nothing_until_used(self, tmp_path):
+        table = mixed_table(np.random.default_rng(2), 5)
+        assert "metric" not in vars(table)
+        model = TrainedModel(
+            factorization=Factorization(
+                loadings=np.ones((1, 5)), dictionary=np.ones((1, 1))
+            ),
+            weights=np.ones(2),
+            population_coef=np.zeros(1),
+            train_covariates=table,
+            task="regression",
+            hyper=HyperParams(),
+        )
+        storage.save_model(tmp_path / "model.json", model)
+        loaded = storage.load_model(tmp_path / "model.json")
+        assert "metric" not in vars(loaded.train_covariates)
 
 
 def balls(Z, radius):

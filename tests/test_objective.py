@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,31 +17,46 @@ from persreg.objective import (
     batch_losses,
     composite_objective,
     distance_match,
-    l1_term,
-    loss_subgradient,
-    predictive_loss,
+    resolve_pairs,
 )
 
 from oracles import central_difference, relative_error
 
 
+def one_loss(x, y, coef, task):
+    """``batch_losses`` of a single sample."""
+    return float(batch_losses(np.array([x], float), np.array([y], float),
+                              np.array(coef, float)[:, None], task)[0])
+
+
+def one_subgradient(x, y, coef, task):
+    """``batch_loss_subgradients`` of a single sample."""
+    return batch_loss_subgradients(np.array([x], float), np.array([y], float),
+                                   np.array(coef, float)[:, None], task)[:, 0]
+
+
 class TestPredictiveLoss:
     def test_perfect_regression_fit(self):
-        assert predictive_loss([1.0], 1.0, [1.0], "regression") == 0.0
+        assert one_loss([1.0], 1.0, [1.0], "regression") == 0.0
 
     def test_zero_model_squared_residual(self):
-        assert predictive_loss([1.0], 1.0, [0.0], "regression") == 1.0
+        assert one_loss([1.0], 1.0, [0.0], "regression") == 1.0
 
     def test_uninformative_classifier(self):
-        got = predictive_loss([1.0, 2.0], 1.0, [0.0, 0.0], "classification")
+        got = one_loss([1.0, 2.0], 1.0, [0.0, 0.0], "classification")
         assert got == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_bad_label_rejected(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            predictive_loss([1.0], 0.3, [1.0], "classification")
+        with pytest.raises(ValueError, match="0/1"):
+            Dataset(
+                predictors=[[1.0]],
+                responses=[0.3],
+                covariates=CovariateTable.continuous([[0.0]]),
+                task="classification",
+            )
 
     def test_logistic_stable_for_extreme_scores(self):
-        big = predictive_loss([1.0], 0.0, [800.0], "classification")
+        big = one_loss([1.0], 0.0, [800.0], "classification")
         assert np.isfinite(big) and big == pytest.approx(800.0)
 
     def test_batch_matches_scalar(self):
@@ -53,19 +70,23 @@ class TestPredictiveLoss:
                 else rng.integers(0, 2, 7).astype(float)
             )
             batch = batch_losses(X, y, theta, task)
-            singles = [
-                predictive_loss(X[i], y[i], theta[:, i], task) for i in range(7)
-            ]
-            assert np.allclose(batch, singles, rtol=1e-12)
+            for i in range(7):
+                z = float(X[i] @ theta[:, i])
+                if task == "regression":
+                    want = (y[i] - z) ** 2
+                else:
+                    want = math.log1p(math.exp(z)) - y[i] * z
+                assert batch[i] == one_loss(X[i], y[i], theta[:, i], task)
+                assert batch[i] == pytest.approx(want, rel=1e-12)
 
 
 class TestLossSubgradient:
     def test_zero_at_perfect_fit(self):
-        got = loss_subgradient([1.0, 2.0], 3.0, [1.0, 1.0], "regression")
+        got = one_subgradient([1.0, 2.0], 3.0, [1.0, 1.0], "regression")
         assert np.array_equal(got, np.zeros(2))
 
     def test_hand_regression_value(self):
-        got = loss_subgradient([1.0, 0.0], 0.0, [1.0, 0.0], "regression")
+        got = one_subgradient([1.0, 0.0], 0.0, [1.0, 0.0], "regression")
         assert np.array_equal(got, [2.0, 0.0])
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
@@ -75,10 +96,8 @@ class TestLossSubgradient:
             x = rng.standard_normal(4)
             y = float(rng.integers(0, 2)) if task == "classification" else rng.normal()
             coef = rng.standard_normal(4)
-            got = loss_subgradient(x, y, coef, task)
-            want = central_difference(
-                lambda c: predictive_loss(x, y, c, task), coef, 1e-6
-            )
+            got = one_subgradient(x, y, coef, task)
+            want = central_difference(lambda c: one_loss(x, y, c, task), coef, 1e-6)
             assert relative_error(got, want) <= 1e-6
 
     def test_batch_matches_scalar(self):
@@ -88,42 +107,73 @@ class TestLossSubgradient:
         theta = rng.standard_normal((2, 5))
         batch = batch_loss_subgradients(X, y, theta, "classification")
         for i in range(5):
-            want = loss_subgradient(X[i], y[i], theta[:, i], "classification")
-            assert np.allclose(batch[:, i], want, rtol=1e-12)
+            want = one_subgradient(X[i], y[i], theta[:, i], "classification")
+            assert np.array_equal(batch[:, i], want)
+
+
+def l1_only(theta, strength):
+    """Composite objective of coefficient columns ``theta`` (identity
+    dictionary) on all-zero data, so only the l1 penalty is left."""
+    p, n = theta.shape
+    ds = Dataset(
+        predictors=np.zeros((n, p)),
+        responses=np.zeros(n),
+        covariates=CovariateTable.continuous(np.zeros((n, 1))),
+    )
+    fact = Factorization(loadings=theta, dictionary=np.eye(p))
+    hyper = HyperParams(l1=strength, distance_match=0.0, weights_anchor=0.0,
+                        latent_dim=p)
+    return composite_objective(fact, np.ones(1), ds, precompute_cache(ds.covariates),
+                               hyper)
 
 
 class TestL1Term:
     def test_zero_vector(self):
-        value, sub = l1_term(np.zeros(3), 2.0)
-        assert value == 0.0
-        assert np.array_equal(sub, np.zeros(3))
+        bundle = l1_only(np.zeros((3, 3)), 2.0)
+        assert bundle.value == 0.0
+        assert np.array_equal(bundle.grad_loadings, np.zeros((3, 3)))
 
     def test_hand_values(self):
-        value, sub = l1_term(np.array([2.0, -3.0]), 0.5)
-        assert value == pytest.approx(2.5)
-        assert np.array_equal(sub, [0.5, -0.5])
+        bundle = l1_only(np.array([[2.0, 0.0], [-3.0, 0.0]]), 0.5)
+        assert bundle.value == pytest.approx(2.5)
+        assert np.array_equal(bundle.grad_loadings, [[0.5, 0.0], [-0.5, 0.0]])
 
     def test_zero_strength(self):
-        value, sub = l1_term(np.array([1.0, -1.0]), 0.0)
-        assert value == 0.0 and np.array_equal(sub, np.zeros(2))
+        bundle = l1_only(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0.0)
+        assert bundle.value == 0.0
+        assert np.array_equal(bundle.grad_loadings, np.zeros((2, 2)))
 
     def test_subgradient_zero_exactly_at_kinks(self):
-        _, sub = l1_term(np.array([0.0, -0.0, 1.0]), 1.0)
-        assert sub[0] == 0.0 and sub[1] == 0.0 and sub[2] == 1.0
+        theta = np.zeros((3, 3))
+        theta[:, 0] = [0.0, -0.0, 1.0]
+        grad = l1_only(theta, 1.0).grad_loadings[:, 0]
+        assert grad[0] == 0.0 and grad[1] == 0.0 and grad[2] == 1.0
 
 
-def pairs_within(loadings, radius, cache):
+def pairs_within(loadings, radius, metric):
     """Neighbor pairs of the loadings at a fixed radius, with their
     covariate distances."""
     i_idx, j_idx = neighbor_pairs(neighbor_sets(pairwise_squared(loadings), radius))
-    return NeighborPairs(i_idx, j_idx, cache.distances[:, i_idx, j_idx])
+    return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
 
 
 def two_sample_setup(z_values, u_values, radius=10.0):
     loadings = np.asarray(z_values, dtype=float)
     table = CovariateTable.continuous(np.asarray(u_values, dtype=float))
-    cache = precompute_cache(table)
-    return loadings, pairs_within(loadings, radius, cache)
+    return loadings, pairs_within(loadings, radius, precompute_cache(table))
+
+
+def test_reused_scratch_gives_fresh_results():
+    rng = np.random.default_rng(9)
+    metric = precompute_cache(CovariateTable.continuous(rng.uniform(size=(30, 2))))
+    scratch = np.full((2, 30, 30), np.nan)
+    for hyper in (HyperParams(), HyperParams(radius=0.5)):
+        loadings = rng.standard_normal((2, 30))
+        want_radius, want = resolve_pairs(loadings, metric, hyper)
+        got_radius, got = resolve_pairs(loadings, metric, hyper, scratch)
+        assert got_radius == want_radius
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestDistanceMatchValues:
@@ -152,8 +202,8 @@ class TestDistanceMatchValues:
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(3)
         loadings = rng.standard_normal((2, 20))
-        cache = precompute_cache(CovariateTable.continuous(rng.uniform(size=(20, 3))))
-        pairs = pairs_within(loadings, 1.0, cache)
+        metric = precompute_cache(CovariateTable.continuous(rng.uniform(size=(20, 3))))
+        pairs = pairs_within(loadings, 1.0, metric)
         got = distance_match(loadings, rng.uniform(size=3), pairs, 7.0)[0]
         assert np.all(got >= 0.0)
 
@@ -165,10 +215,10 @@ class TestDistanceMatchGradients:
             n = int(rng.integers(2, 30))
             q = int(rng.integers(1, 4))
             loadings = rng.standard_normal((q, n))
-            cache = precompute_cache(
+            metric = precompute_cache(
                 CovariateTable.continuous(rng.uniform(size=(n, 2)))
             )
-            pairs = pairs_within(loadings, float(rng.uniform(0.5, 4.0)), cache)
+            pairs = pairs_within(loadings, float(rng.uniform(0.5, 4.0)), metric)
             gz, _ = distance_match(
                 loadings, rng.uniform(size=2), pairs, float(rng.uniform(0.5, 2))
             )[1:]
@@ -189,13 +239,14 @@ class TestDistanceMatchGradients:
             n, q, k = 12, 2, 3
             loadings = rng.standard_normal((q, n))
             weights = rng.uniform(0.5, 1.5, size=k)
-            cache = precompute_cache(CovariateTable.continuous(rng.uniform(size=(n, k))))
+            table = CovariateTable.continuous(rng.uniform(size=(n, k)))
+            metric = precompute_cache(table)
             # keep the radius away from every pairwise distance so the pairs
             # are locally constant under the finite-difference probes
             sq = pairwise_squared(loadings)
             vals = np.sort(sq[np.triu_indices(n, k=1)])
             radius = float(0.5 * (vals[len(vals) // 2] + vals[len(vals) // 2 + 1]))
-            pairs = pairs_within(loadings, radius, cache)
+            pairs = pairs_within(loadings, radius, metric)
             strength = 2.5
 
             def total_from_loadings(flat):
@@ -231,8 +282,8 @@ class TestCompositeObjective:
         rng = np.random.default_rng(6)
         fact, ds = perfect_fit_problem(rng)
         hyper = HyperParams(l1=0.0, distance_match=0.0, weights_anchor=0.0)
-        cache = precompute_cache(ds.covariates)
-        bundle = composite_objective(fact, np.ones(2), ds, cache, hyper)
+        metric = precompute_cache(ds.covariates)
+        bundle = composite_objective(fact, np.ones(2), ds, metric, hyper)
         assert bundle.value == pytest.approx(0.0, abs=1e-24)
         assert np.allclose(bundle.grad_loadings, 0.0, atol=1e-12)
         assert np.allclose(bundle.grad_dictionary, 0.0, atol=1e-12)
@@ -241,8 +292,8 @@ class TestCompositeObjective:
         rng = np.random.default_rng(7)
         fact, ds = perfect_fit_problem(rng)
         hyper = HyperParams(l1=0.1, distance_match=0.0, weights_anchor=0.3)
-        cache = precompute_cache(ds.covariates)
-        bundle = composite_objective(fact, np.ones(2), ds, cache, hyper)
+        metric = precompute_cache(ds.covariates)
+        bundle = composite_objective(fact, np.ones(2), ds, metric, hyper)
         assert np.array_equal(bundle.grad_weights, np.zeros(2))
 
     def test_all_blocks_match_finite_differences(self):
@@ -262,14 +313,14 @@ class TestCompositeObjective:
             responses=y,
             covariates=CovariateTable.continuous(rng.uniform(size=(n, k))),
         )
-        cache = precompute_cache(ds.covariates)
+        metric = precompute_cache(ds.covariates)
         weights = rng.uniform(0.5, 1.5, size=k)
         hyper = HyperParams(
             l1=0.05, distance_match=1.2, weights_anchor=0.4, latent_dim=q, radius=2.0,
             target_neighbors=None,
         )
-        pairs = pairs_within(fact.loadings, 2.0, cache)
-        bundle = composite_objective(fact, weights, ds, cache, hyper, pairs=pairs)
+        pairs = pairs_within(fact.loadings, 2.0, metric)
+        bundle = composite_objective(fact, weights, ds, metric, hyper, pairs=pairs)
 
         def value_of(loadings=None, dictionary=None, w=None):
             f = Factorization(
@@ -277,7 +328,7 @@ class TestCompositeObjective:
                 dictionary=fact.dictionary if dictionary is None else dictionary,
             )
             ww = weights if w is None else w
-            return composite_objective(f, ww, ds, cache, hyper, pairs=pairs).value
+            return composite_objective(f, ww, ds, metric, hyper, pairs=pairs).value
 
         want_z = central_difference(
             lambda z: value_of(loadings=z.reshape(q, n)), fact.loadings.ravel(), 1e-6
@@ -302,9 +353,9 @@ class TestCompositeObjective:
         fact = Factorization(
             loadings=np.array([[1.0, 1e200]]), dictionary=np.array([[1.0]])
         )
-        cache = precompute_cache(ds.covariates)
+        metric = precompute_cache(ds.covariates)
         with pytest.raises(NumericalError) as err:
             composite_objective(
-                fact, np.ones(1), ds, cache, HyperParams(distance_match=0.0)
+                fact, np.ones(1), ds, metric, HyperParams(distance_match=0.0)
             )
         assert err.value.sample == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -158,13 +160,13 @@ class TestTrainStep:
         inst = generate(30, 2, 3, seed=11)
         ds = inst.train_dataset()
         hyper = HyperParams(max_iters=0)
-        cache = precompute_cache(ds.covariates)
+        metric = precompute_cache(ds.covariates)
         pop_cfg = ElasticNetConfig(l1=hyper.l1)
         from persreg.population import fit_population
 
         state = initialize(ds, hyper, fit_population(ds, pop_cfg), seed=11)
         for _ in range(40):
-            state = train_step(state, ds, cache, hyper)
+            state = train_step(state, ds, metric, hyper)
             assert np.all(state.weights >= 0.0)
 
     def test_rate_schedule_is_exact(self):
@@ -192,6 +194,29 @@ class TestFit:
             model.factorization.dictionary, state.factorization.dictionary
         )
         assert np.array_equal(model.weights, np.ones(3))
+
+    def test_zero_iteration_fit_memory_stays_linear(self):
+        # the dense (k, n, n) per-covariate distances would take 360 MB here
+        rng = np.random.default_rng(12)
+        n = 3000
+        cols = [rng.uniform(size=n) for _ in range(3)] + [
+            np.array([f"c{v}" for v in rng.integers(0, 6, n)], dtype=object)
+            for _ in range(2)
+        ]
+        ds = Dataset(
+            predictors=rng.standard_normal((n, 3)),
+            responses=rng.standard_normal(n),
+            covariates=CovariateTable.from_columns(
+                cols, ["continuous"] * 3 + ["categorical"] * 2
+            ),
+        )
+        tracemalloc.start()
+        try:
+            fit(ds, HyperParams(max_iters=0), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_deterministic_end_to_end(self):
         inst = generate(40, 2, 3, seed=8)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from persreg.metric import weighted_distance
 from persreg.model import (
     CovariateTable,
     Factorization,
@@ -11,6 +10,8 @@ from persreg.model import (
     center_of_mass,
 )
 from persreg.predictor import predict_batch, predict_point, rank_neighbors
+
+from oracles import covariate_distance_matrices
 
 
 def build_model(theta_columns, covariates, weights=None, n_neighbors=3,
@@ -70,12 +71,10 @@ class TestRankNeighbors:
         model = build_model(rng.standard_normal((2, n)), U, weights=w)
         u = tuple(rng.uniform(size=k))
         order = rank_neighbors(model, u)
-        dists = np.array(
-            [
-                weighted_distance(w, u, model.train_covariates.row(i), model.train_covariates.kinds)
-                for i in range(n)
-            ]
-        )
+        table = model.train_covariates
+        rows = [u] + [table.row(i) for i in range(n)]
+        mats = covariate_distance_matrices(rows, table.kinds)
+        dists = sum(w[c] * mats[c][0, 1:] for c in range(k))
         assert np.all(np.diff(dists[order]) >= -1e-15)
         # ties broken by ascending index
         for a, b in zip(order[:-1], order[1:]):
@@ -169,6 +168,30 @@ class TestPredictPoint:
         )
         pred = predict_point(model, np.array([1.0]), ("b",))
         assert list(pred.neighbor_ids) == [1]
+
+    def test_unseen_label_is_at_weight_distance_from_every_sample(self):
+        model = build_model(
+            np.zeros((1, 4)),
+            [np.array(["a", "b", "a", "c"], dtype=object)],
+            weights=[0.7],
+            kinds=["categorical"],
+            n_neighbors=4,
+        )
+        for label in ("zz", "0", "b0"):
+            pred = predict_point(model, np.array([1.0]), (label,))
+            assert np.array_equal(pred.neighbor_dists, np.full(4, 0.7))
+            assert list(pred.neighbor_ids) == [0, 1, 2, 3]
+
+    def test_integer_label_matches_its_string(self):
+        model = build_model(
+            np.array([[1.0, 2.0, 3.0]]),
+            [np.array(["2", "1", "3"], dtype=object)],
+            kinds=["categorical"],
+            n_neighbors=1,
+        )
+        pred = predict_point(model, np.array([1.0]), (1,))
+        assert list(pred.neighbor_ids) == [1]
+        assert pred.neighbor_dists[0] == 0.0
 
     def test_batch_matches_single_calls(self):
         rng = np.random.default_rng(6)
