@@ -221,7 +221,9 @@ def fit(
     state = initialize(dataset, hyper, pop, seed)
     # reused by every step: fresh n * n arrays each step cost page faults
     # that outweigh a small fit's arithmetic
-    scratch = np.empty((2, dataset.n, dataset.n)) if hyper.max_iters else None
+    scratch = None
+    if hyper.max_iters and hyper.distance_match != 0.0 and dataset.n >= 2:
+        scratch = np.empty((2, dataset.n, dataset.n))
 
     tracing = trace_fn is not None
     com = center_of_mass(state.factorization) if tracing else None

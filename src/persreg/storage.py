@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import secrets
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -132,16 +134,21 @@ def dump_json(path, obj) -> None:
     """Write strict JSON atomically.
 
     A NaN or infinity raises before any file is opened.  The text goes to a
-    temporary file in the target's directory, which then replaces the
-    target, so a failed write never leaves a partial file behind.
+    uniquely named temporary file beside the target (beside the file a
+    symlink points to), which then replaces it, so a failed write never
+    leaves a partial file behind.  An existing target keeps its mode; a new
+    one gets the mode ``open`` would give it.
     """
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "w") as fh:
+        with open(fd, "w") as fh:
             fh.write(text)
             fh.write("\n")
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

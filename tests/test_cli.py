@@ -382,6 +382,31 @@ def test_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+def test_json_overwrite_keeps_mode_and_writes_through_symlinks(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    fresh = tmp_path / "fresh.json"
+    storage.dump_json(fresh, {"a": 1})
+    assert fresh.stat().st_mode == plain.stat().st_mode
+
+    private = tmp_path / "private.json"
+    storage.dump_json(private, {"a": 1})
+    private.chmod(0o600)
+    storage.dump_json(private, {"a": 2})
+    assert private.stat().st_mode & 0o777 == 0o600
+    assert storage.load_json(private) == {"a": 2}
+
+    link = tmp_path / "link.json"
+    link.symlink_to(private)
+    storage.dump_json(link, {"a": 3})
+    assert link.is_symlink()
+    assert storage.load_json(private) == {"a": 3}
+    assert private.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fresh.json", "link.json", "plain.json", "private.json"]
+
+
 def test_auroc_rank_sum_ties_and_separation():
     assert auroc_rank_sum([0.2, 0.8], [0.0, 1.0]) == 1.0
     assert auroc_rank_sum([0.8, 0.2], [0.0, 1.0]) == 0.0

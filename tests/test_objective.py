@@ -103,12 +103,23 @@ class TestLossSubgradient:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((5, 2))
-        y = rng.integers(0, 2, 5).astype(float)
         theta = rng.standard_normal((2, 5))
-        batch = batch_loss_subgradients(X, y, theta, "classification")
-        for i in range(5):
-            want = one_subgradient(X[i], y[i], theta[:, i], "classification")
-            assert np.array_equal(batch[:, i], want)
+        for task in ("regression", "classification"):
+            y = (
+                rng.standard_normal(5)
+                if task == "regression"
+                else rng.integers(0, 2, 5).astype(float)
+            )
+            batch = batch_loss_subgradients(X, y, theta, task)
+            for i in range(5):
+                z = float(X[i] @ theta[:, i])
+                if task == "regression":
+                    want = -2.0 * (y[i] - z) * X[i]
+                else:
+                    want = (1.0 / (1.0 + math.exp(-z)) - y[i]) * X[i]
+                got = one_subgradient(X[i], y[i], theta[:, i], task)
+                assert np.array_equal(batch[:, i], got)
+                assert np.allclose(batch[:, i], want, rtol=1e-12, atol=0.0)
 
 
 def l1_only(theta, strength):
