@@ -16,7 +16,7 @@ import numpy as np
 
 import persreg as pr
 from persreg.model import HyperParams, coefficient_matrix
-from persreg.predictor import predict_point
+from persreg.predictor import predict_batch
 
 
 def score_setting(n, p, k, seeds, max_iters):
@@ -29,12 +29,8 @@ def score_setting(n, p, k, seeds, max_iters):
         pop = model.population_coef
         est = coefficient_matrix(model.factorization)
         Xt, yt = test.predictors, test.responses
-        preds = np.array(
-            [
-                predict_point(model, Xt[i], test.covariates.row(i)).y_hat
-                for i in range(len(yt))
-            ]
-        )
+        u_rows = [test.covariates.row(i) for i in range(len(yt))]
+        preds = np.array([pred.y_hat for pred in predict_batch(model, Xt, u_rows)])
         pop_m = pr.evaluate_recovery(
             np.broadcast_to(pop[:, None], omega_train.shape),
             omega_train,

@@ -7,21 +7,29 @@ numerical failures inside the solvers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import storage
-from .model import CLASSIFICATION, REGRESSION, TASKS, Dataset, HyperParams
+from .model import (
+    CLASSIFICATION,
+    INTEGER_HYPERS,
+    REGRESSION,
+    TASKS,
+    Dataset,
+    HyperParams,
+)
 from .objective import NumericalError
 from .optimizer import fit
 from .population import ElasticNetConvergenceError
-from .predictor import predict_point
+from .predictor import predict_batch
 from .simulate import generate, r_squared
 from .storage import ensure_dir
 
-HYPER_KEYS = tuple(storage.hyper_to_dict(HyperParams()))
+HYPER_KEYS = tuple(field.name for field in dataclasses.fields(HyperParams))
 CONFIG_KEYS = HYPER_KEYS + ("task",)
 
 
@@ -63,10 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for key in HYPER_KEYS:
         flag = "--" + key.replace("_", "-")
-        if key in ("latent_dim", "n_neighbors", "max_iters"):
-            tr.add_argument(flag, type=int, default=None)
-        else:
-            tr.add_argument(flag, type=float, default=None)
+        kind = int if key in INTEGER_HYPERS else float
+        tr.add_argument(flag, type=kind, default=None)
 
     pr = sub.add_parser("predict", help="predict with a trained model")
     pr.add_argument("--model", required=True, help="model.json path")
@@ -198,30 +204,18 @@ def run_train(args) -> int:
 def run_predict(args) -> int:
     model = storage.load_model(args.model)
     if args.n_neighbors is not None:
-        model = type(model)(
-            factorization=model.factorization,
-            weights=model.weights,
-            population_coef=model.population_coef,
-            train_covariates=model.train_covariates,
-            task=model.task,
-            hyper=model.hyper.with_overrides(n_neighbors=args.n_neighbors),
+        model = dataclasses.replace(
+            model, hyper=model.hyper.with_overrides(n_neighbors=args.n_neighbors)
         )
     _, X = storage.read_matrix_csv(args.x)
     table = storage.read_covariates_csv(args.u, kinds=list(model.train_covariates.kinds))
-    if X.shape[0] != len(table) and X.size:
-        raise ValueError("test predictors and covariates must have equal rows")
-    if X.size and X.shape[1] != model.n_predictors:
-        raise ValueError(
-            f"test predictors have {X.shape[1]} columns, model expects "
-            f"{model.n_predictors}"
-        )
+    preds = predict_batch(model, X, [table.row(i) for i in range(len(table))])
 
     header = ["row_id", "y_hat", "neighbor_ids"]
     if args.include_theta:
         header += [f"theta{j}" for j in range(model.n_predictors)]
     lines = [",".join(header)]
-    for i in range(X.shape[0]):
-        pred = predict_point(model, X[i], table.row(i))
+    for i, pred in enumerate(preds):
         cells = [
             str(i),
             repr(float(pred.y_hat)),
@@ -237,17 +231,9 @@ def run_predict(args) -> int:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, each run of ties sharing the mean of its ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def auroc_rank_sum(scores, labels) -> float:
@@ -272,7 +258,13 @@ def _read_predictions(path) -> np.ndarray:
     if "y_hat" not in header:
         raise ValueError(f"{path}: missing y_hat column")
     col = header.index("y_hat")
-    y_hat = np.array([float(ln.split(",")[col]) for ln in lines[1:]], dtype=float)
+    y_hat = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{line_no}: expected {len(header)} cells")
+        y_hat.append(float(cells[col]))
+    y_hat = np.array(y_hat, dtype=float)
     if not np.all(np.isfinite(y_hat)):
         raise ValueError(f"{path}: non-finite y_hat")
     return y_hat

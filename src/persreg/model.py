@@ -9,9 +9,10 @@ drifting apart.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -285,6 +286,17 @@ class HyperParams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        # types are checked, never converted, so a saved model keeps its bytes
+        for name, hint in _HYPER_HINTS.items():
+            value = getattr(self, name)
+            if value is None and type(None) in get_args(hint):
+                continue
+            kind = numbers.Integral if name in INTEGER_HYPERS else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a real number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+            if value != value:  # NaN, the one value unequal to itself
+                raise ValueError(f"{name} must not be NaN")
         if self.l1 < 0:
             raise ValueError("l1 strength must be >= 0")
         if self.distance_match < 0:
@@ -318,6 +330,11 @@ class HyperParams:
         return replace(self, **kwargs)
 
 
+_HYPER_HINTS = get_type_hints(HyperParams)
+# the fields that count something; every other field is a real number
+INTEGER_HYPERS = tuple(name for name, hint in _HYPER_HINTS.items() if hint is int)
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     """Everything needed at prediction time.
@@ -338,6 +355,10 @@ class TrainedModel:
         pop = _frozen_float_array(self.population_coef, "population_coef", 1)
         if w.shape[0] != self.train_covariates.width:
             raise ValueError("weights length must equal covariate width")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("metric weights must be finite")
+        if not np.all(np.isfinite(pop)):
+            raise ValueError("population coefficients must be finite")
         if np.any(w < 0):
             raise ValueError("metric weights must be nonnegative")
         if self.factorization.n_samples != len(self.train_covariates):

@@ -52,29 +52,42 @@ class GradientBundle:
     grad_weights: np.ndarray  # k
 
 
-def batch_losses(X, y, coefficients, task: str) -> np.ndarray:
-    """Per-sample losses for coefficient columns (p x n) against (n, p) data:
-    squared error for regression, log loss for classification, written as
-    max(z, 0) - y z + log1p(exp(-|z|)) so large |z| cannot overflow."""
-    z = np.einsum("ij,ji->i", X, coefficients)
+def sigmoid(z) -> np.ndarray:
+    """The logistic link, elementwise, in the form that cannot overflow:
+    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def score_losses(z, y, task: str) -> np.ndarray:
+    """Per-sample losses at linear scores z: squared error for regression,
+    log loss for classification, written as max(z, 0) - y z +
+    log1p(exp(-|z|)) so large |z| cannot overflow."""
     if task == REGRESSION:
         r = y - z
         return r * r
     return np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
 
 
+def score_slopes(z, y, task: str) -> np.ndarray:
+    """Derivative of each sample's loss with respect to its score z."""
+    if task == REGRESSION:
+        return -2.0 * (y - z)
+    return sigmoid(z) - y
+
+
+def batch_losses(X, y, coefficients, task: str) -> np.ndarray:
+    """Per-sample losses for coefficient columns (p x n) against (n, p) data."""
+    return score_losses(np.einsum("ij,ji->i", X, coefficients), y, task)
+
+
 def batch_loss_subgradients(X, y, coefficients, task: str) -> np.ndarray:
     """Loss subgradients as a p x n matrix (column i for sample i)."""
-    z = np.einsum("ij,ji->i", X, coefficients)
-    if task == REGRESSION:
-        scale = -2.0 * (y - z)
-    else:
-        pos = z >= 0
-        sig = np.empty_like(z)
-        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        sig[~pos] = ez / (1.0 + ez)
-        scale = sig - y
+    scale = score_slopes(np.einsum("ij,ji->i", X, coefficients), y, task)
     return X.T * scale[None, :]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CLASSIFICATION, REGRESSION, Dataset, validate_task
+from .objective import score_losses, score_slopes, sigmoid
 
 
 class ElasticNetConvergenceError(RuntimeError):
@@ -47,31 +48,13 @@ class ElasticNetConfig:
         validate_task(self.fit_task)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _smooth_value(X, y, coef, l2, task) -> float:
-    z = X @ coef
-    if task == REGRESSION:
-        resid = y - z
-        data = float(np.mean(resid * resid))
-    else:
-        data = float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
+    data = float(np.mean(score_losses(X @ coef, y, task)))
     return data + l2 * float(coef @ coef)
 
 
 def _smooth_gradient(X, y, coef, l2, task) -> np.ndarray:
-    z = X @ coef
-    if task == REGRESSION:
-        g = X.T @ (-2.0 * (y - z)) / X.shape[0]
-    else:
-        g = X.T @ (_sigmoid(z) - y) / X.shape[0]
+    g = X.T @ score_slopes(X @ coef, y, task) / X.shape[0]
     return g + 2.0 * l2 * coef
 
 
@@ -149,5 +132,5 @@ def predict_population(coef: np.ndarray, x, task: str):
     z = x @ coef
     validate_task(task)
     if task == CLASSIFICATION:
-        return _sigmoid(np.atleast_1d(z))[0] if z.ndim == 0 else _sigmoid(z)
+        return sigmoid(np.atleast_1d(z))[0] if z.ndim == 0 else sigmoid(z)
     return float(z) if z.ndim == 0 else z

@@ -8,6 +8,7 @@ be compared file for file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import secrets
@@ -120,7 +121,7 @@ def read_covariates_csv(path, kinds=None) -> CovariateTable:
 
 def read_schema(path) -> list:
     data = load_json(path)
-    if not isinstance(data, dict) or "columns" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("columns"), list):
         raise ValueError(f"{path}: schema must be an object with a 'columns' list")
     kinds = []
     for entry in data["columns"]:
@@ -160,26 +161,8 @@ def load_json(path):
         return json.load(fh)
 
 
-def hyper_to_dict(hyper: HyperParams) -> dict:
-    return {
-        "l1": hyper.l1,
-        "distance_match": hyper.distance_match,
-        "weights_anchor": hyper.weights_anchor,
-        "latent_dim": hyper.latent_dim,
-        "radius": hyper.radius,
-        "target_neighbors": hyper.target_neighbors,
-        "lr_init": hyper.lr_init,
-        "lr_decay": hyper.lr_decay,
-        "init_noise": hyper.init_noise,
-        "rate_floor": hyper.rate_floor,
-        "n_neighbors": hyper.n_neighbors,
-        "max_iters": hyper.max_iters,
-        "rel_tol": hyper.rel_tol,
-    }
-
-
 def hyper_from_dict(data: dict) -> HyperParams:
-    allowed = set(hyper_to_dict(HyperParams()))
+    allowed = {field.name for field in dataclasses.fields(HyperParams)}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
@@ -196,7 +179,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         rows.append(row)
     return {
         "task": model.task,
-        "hyper": hyper_to_dict(model.hyper),
+        "hyper": dataclasses.asdict(model.hyper),
         "dictionary": model.factorization.dictionary.tolist(),
         "loadings": model.factorization.loadings.tolist(),
         "weights": model.weights.tolist(),

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from persreg import storage
 from persreg.cli import auroc_rank_sum, main
@@ -112,6 +113,19 @@ class TestTrain:
         cfg.write_text(json.dumps({"l1": 0.1, "momentum": 0.9}))
         assert run_cli(*train_args(sim_dir, tmp_path / "f", "--config", cfg)) == 2
 
+    @pytest.mark.parametrize(
+        "config", [{"l1": "abc"}, {"latent_dim": 1.5}, {"max_iters": 2.5}]
+    )
+    def test_config_value_of_wrong_type_is_input_error(self, sim_dir, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(*train_args(sim_dir, tmp_path / "f", "--config", cfg)) == 2
+
+    def test_schema_without_column_list_is_input_error(self, sim_dir, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": 3}))
+        assert run_cli(*train_args(sim_dir, tmp_path / "f", "--schema", schema)) == 2
+
     def test_config_merged_under_flags(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_iters": 5, "l1": 0.7}))
@@ -206,6 +220,23 @@ class TestPredict:
         code = run_cli(
             "predict", "--model", fitted / "model.json", "--x", test_x,
             "--u", test_u, "--out", out,
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["weights", "population_coef"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_model_is_input_error(
+        self, sim_dir, fitted, tmp_path, field, bad
+    ):
+        data = storage.load_json(fitted / "model.json")
+        data[field][0] = bad
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))  # json writes NaN and Infinity
+        out = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--model", model, "--x", sim_dir / "X.csv",
+            "--u", sim_dir / "U.csv", "--out", out,
         )
         assert code == 2
         assert not out.exists()
@@ -319,6 +350,17 @@ class TestEvaluate:
             "--out", tmp_path / "m.json",
         ) == 2
 
+    def test_short_prediction_row_is_input_error(self, tmp_path):
+        pred = tmp_path / "p.csv"
+        pred.write_text("row_id,y_hat,neighbor_ids\n0,0.5,0\n1\n")
+        truth = tmp_path / "y.csv"
+        storage.write_matrix_csv(truth, np.array([0.5, 1.0]), ["y"])
+        out = tmp_path / "m.json"
+        assert run_cli(
+            "evaluate", "--predictions", pred, "--responses", truth, "--out", out,
+        ) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("side", ["predictions", "responses"])
     def test_non_finite_input_is_input_error(self, tmp_path, side):
         values = [0.5, 1.5, -0.25]
@@ -411,3 +453,18 @@ def test_auroc_rank_sum_ties_and_separation():
     assert auroc_rank_sum([0.2, 0.8], [0.0, 1.0]) == 1.0
     assert auroc_rank_sum([0.8, 0.2], [0.0, 1.0]) == 0.0
     assert auroc_rank_sum([0.5, 0.5, 0.5], [0.0, 1.0, 0.0]) == 0.5
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_auroc_rank_sum_matches_scipy_midranks_under_heavy_ties(seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 4, size=60) / 4.0
+    labels = rng.integers(0, 2, size=60).astype(float)
+    labels[:2] = (0.0, 1.0)
+    ranks = scipy.stats.rankdata(scores, method="average")
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    want = (float(np.sum(ranks[labels == 1.0])) - n_pos * (n_pos + 1) / 2.0) / (
+        n_pos * n_neg
+    )
+    assert auroc_rank_sum(scores, labels) == want

@@ -198,11 +198,23 @@ class TestHyperParams:
             {"radius": None, "target_neighbors": None},
             {"n_neighbors": 0},
             {"rel_tol": 0.0},
+            {"l1": "abc"},
+            {"latent_dim": 1.5},
+            {"max_iters": 2.5},
+            {"n_neighbors": True},
+            {"lr_init": None},
+            {"init_noise": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
+
+    def test_numbers_are_kept_as_given(self):
+        hyper = HyperParams(l1=1, max_iters=np.int64(7), radius=np.float64(0.5))
+        assert type(hyper.l1) is int
+        assert type(hyper.max_iters) is np.int64
+        assert type(hyper.radius) is np.float64
 
 
 def test_trained_model_validates_alignment():
@@ -225,4 +237,21 @@ def test_trained_model_validates_alignment():
             train_covariates=table,
             task="regression",
             hyper=HyperParams(),
+        )
+
+
+@pytest.mark.parametrize("field", ["weights", "population_coef"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_trained_model_rejects_non_finite_parameters(field, bad):
+    values = {"weights": np.ones(2), "population_coef": np.zeros(2)}
+    values[field][0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TrainedModel(
+            factorization=Factorization(
+                loadings=np.ones((1, 3)), dictionary=np.ones((1, 2))
+            ),
+            train_covariates=CovariateTable.continuous(np.zeros((3, 2))),
+            task="regression",
+            hyper=HyperParams(),
+            **values,
         )

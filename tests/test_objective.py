@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from persreg.objective import (
     composite_objective,
     distance_match,
     resolve_pairs,
+    sigmoid,
 )
 
 from oracles import central_difference, relative_error
@@ -33,6 +35,25 @@ def one_subgradient(x, y, coef, task):
     """``batch_loss_subgradients`` of a single sample."""
     return batch_loss_subgradients(np.array([x], float), np.array([y], float),
                                    np.array(coef, float)[:, None], task)[:, 0]
+
+
+class TestSigmoid:
+    def test_extreme_scores_stay_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(np.array([-800.0, -1.0, 0.0, 1.0, 800.0]))
+        assert got[0] == 0.0 and got[2] == 0.5 and got[4] == 1.0
+        assert got[1] == pytest.approx(1.0 - got[3], rel=1e-15)
+
+    def test_entries_match_scalar_formula_and_their_own_evaluation(self):
+        z = np.random.default_rng(0).normal(scale=20.0, size=500)
+        got = sigmoid(z)
+        for i, zi in enumerate(z):
+            assert got[i] == sigmoid(z[i : i + 1])[0]
+            want = 1.0 / (1.0 + math.exp(-zi)) if zi >= 0 else (
+                math.exp(zi) / (1.0 + math.exp(zi))
+            )
+            assert got[i] == pytest.approx(want, rel=1e-14)
 
 
 class TestPredictiveLoss:

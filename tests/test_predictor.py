@@ -153,6 +153,31 @@ class TestPredictPoint:
         assert 0.0 < pred.y_hat < 1.0
         assert pred.y_hat == pytest.approx(1.0 / (1.0 + np.exp(-5.0)))
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_nearest_k_match_full_stable_sort_under_ties(self, seed):
+        # small integer covariates and weights make every distance exact
+        # and most of them tied
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        U = rng.integers(0, 3, size=(n, 2)).astype(float)
+        w = rng.integers(0, 3, size=2).astype(float)
+        kn = int(rng.integers(1, n + 2))
+        model = build_model(rng.standard_normal((2, n)), U, weights=w, n_neighbors=kn)
+        u = tuple(rng.integers(0, 3, size=2).astype(float))
+        dists = np.abs(U - np.array(u)) @ w
+        want = np.argsort(dists, kind="stable")[:kn]
+        pred = predict_point(model, np.zeros(2), u)
+        assert np.array_equal(pred.neighbor_ids, want)
+        assert np.array_equal(pred.neighbor_dists, dists[want])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictors_rejected(self, bad):
+        model = build_model(np.zeros((2, 3)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_point(model, np.array([0.0, bad]), (0.0,))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_batch(model, np.array([[0.0, 1.0], [bad, 0.0]]), [(0.0,), (0.0,)])
+
     def test_length_mismatch_rejected(self):
         model = build_model(np.zeros((2, 3)), np.zeros((3, 1)))
         with pytest.raises(ValueError, match="predictor row"):
@@ -195,11 +220,14 @@ class TestPredictPoint:
 
     def test_batch_matches_single_calls(self):
         rng = np.random.default_rng(6)
-        model = build_model(rng.standard_normal((2, 7)), rng.uniform(size=(7, 2)))
-        X = rng.standard_normal((3, 2))
-        rows = [tuple(r) for r in rng.uniform(size=(3, 2))]
-        batch = predict_batch(model, X, rows)
-        for i, pred in enumerate(batch):
-            single = predict_point(model, X[i], rows[i])
-            assert pred.y_hat == single.y_hat
-            assert np.array_equal(pred.neighbor_ids, single.neighbor_ids)
+        theta, U = 4.0 * rng.standard_normal((2, 7)), rng.uniform(size=(7, 2))
+        X = rng.standard_normal((40, 2))
+        rows = [tuple(r) for r in rng.uniform(size=(40, 2))]
+        for task in ("regression", "classification"):
+            model = build_model(theta, U, task=task)
+            batch = predict_batch(model, X, rows)
+            for i, pred in enumerate(batch):
+                single = predict_point(model, X[i], rows[i])
+                assert pred.y_hat == single.y_hat
+                assert np.array_equal(pred.neighbor_ids, single.neighbor_ids)
+                assert np.array_equal(pred.coefficients, single.coefficients)
