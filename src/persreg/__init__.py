@@ -13,36 +13,14 @@ from .model import (
     REGRESSION,
     CovariateTable,
     Dataset,
-    Factorization,
     HyperParams,
     TrainedModel,
-    center_of_mass,
-    coefficient_matrix,
-    normalize_dictionary,
 )
-from .metric import (
-    CovariateMetric,
-    auto_radius,
-    neighbor_pairs,
-    neighbor_sets,
-    pairwise_squared,
-    precompute_cache,
-)
-from .objective import (
-    GradientBundle,
-    NumericalError,
-    composite_objective,
-    distance_match,
-)
-from .optimizer import TrainState, fit, initialize, learning_rate, train_step
-from .population import (
-    ElasticNetConfig,
-    ElasticNetConvergenceError,
-    fit_population,
-    predict_population,
-)
-from .predictor import Prediction, predict_batch, predict_point, rank_neighbors
-from .simulate import RecoveryMetrics, SyntheticInstance, evaluate_recovery, generate
+from .objective import NumericalError
+from .optimizer import fit, initialize
+from .population import ElasticNetConfig, ElasticNetConvergenceError, fit_population
+from .predictor import predict_batch, predict_point, rank_neighbors
+from .simulate import evaluate_recovery, generate
 
 __version__ = "0.1.0"
 
@@ -51,39 +29,19 @@ __all__ = [
     "CLASSIFICATION",
     "CONTINUOUS",
     "REGRESSION",
-    "CovariateMetric",
     "CovariateTable",
     "Dataset",
     "ElasticNetConfig",
     "ElasticNetConvergenceError",
-    "Factorization",
-    "GradientBundle",
     "HyperParams",
     "NumericalError",
-    "Prediction",
-    "RecoveryMetrics",
-    "SyntheticInstance",
-    "TrainState",
     "TrainedModel",
-    "auto_radius",
-    "center_of_mass",
-    "coefficient_matrix",
-    "composite_objective",
-    "distance_match",
     "evaluate_recovery",
     "fit",
     "fit_population",
     "generate",
     "initialize",
-    "learning_rate",
-    "neighbor_pairs",
-    "neighbor_sets",
-    "normalize_dictionary",
-    "pairwise_squared",
-    "precompute_cache",
     "predict_batch",
     "predict_point",
-    "predict_population",
     "rank_neighbors",
-    "train_step",
 ]

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -21,13 +22,13 @@ from .model import (
     TASKS,
     Dataset,
     HyperParams,
+    coefficient_matrix,
 )
 from .objective import NumericalError
 from .optimizer import fit
 from .population import ElasticNetConvergenceError
 from .predictor import predict_batch
 from .simulate import generate, r_squared
-from .storage import ensure_dir
 
 HYPER_KEYS = tuple(field.name for field in dataclasses.fields(HyperParams))
 CONFIG_KEYS = HYPER_KEYS + ("task",)
@@ -107,7 +108,8 @@ def run_simulate(args) -> int:
         noise_std=args.noise_std,
         normalize_rows=args.normalize_rows,
     )
-    out = ensure_dir(args.out)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ds = inst.dataset
     storage.write_matrix_csv(
         out / "X.csv", ds.predictors, [f"x{j}" for j in range(ds.p)]
@@ -135,8 +137,10 @@ def run_simulate(args) -> int:
     return 0
 
 
-def _hyper_from_args(args) -> HyperParams:
-    overrides = {}
+def _config_from_args(args) -> dict:
+    """Train settings: the ``--config`` object (read once) under the
+    explicit flags, ``task`` included."""
+    config = {}
     if args.config:
         config = storage.load_json(args.config)
         if not isinstance(config, dict):
@@ -144,36 +148,26 @@ def _hyper_from_args(args) -> HyperParams:
         unknown = set(config) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        overrides.update({k: v for k, v in config.items() if k in HYPER_KEYS})
-    for key in HYPER_KEYS:
+    for key in CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:
-            overrides[key] = value
+            config[key] = value
     # an explicit fixed radius replaces the automatic target
-    if overrides.get("radius") is not None and "target_neighbors" not in overrides:
-        overrides["target_neighbors"] = None
-    return HyperParams(**overrides)
-
-
-def _task_from_args(args) -> str | None:
-    if args.task:
-        return args.task
-    if args.config:
-        config = storage.load_json(args.config)
-        if isinstance(config, dict):
-            return config.get("task")
-    return None
+    if config.get("radius") is not None and "target_neighbors" not in config:
+        config["target_neighbors"] = None
+    return config
 
 
 def run_train(args) -> int:
-    hyper = _hyper_from_args(args)
+    config = _config_from_args(args)
+    task = config.pop("task", None) or REGRESSION
+    hyper = HyperParams(**config)
     _, X = storage.read_matrix_csv(args.x)
     _, Y = storage.read_matrix_csv(args.y)
     if Y.shape[1] != 1:
         raise ValueError("responses CSV must have exactly one column")
     kinds = storage.read_schema(args.schema) if args.schema else None
     table = storage.read_covariates_csv(args.u, kinds=kinds)
-    task = _task_from_args(args) or REGRESSION
     dataset = Dataset(
         predictors=X, responses=Y[:, 0], covariates=table, task=task
     )
@@ -188,7 +182,8 @@ def run_train(args) -> int:
         trace_fn=records.append if tracing else None,
     )
 
-    out = ensure_dir(args.out)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     storage.save_model(out / "model.json", model)
     storage.write_matrix_csv(
         out / "Z_embedding.csv",
@@ -299,7 +294,7 @@ def run_evaluate(args) -> int:
             raise ValueError("--omega-true requires --model for the estimate")
         model = storage.load_model(args.model)
         _, omega_rows = storage.read_matrix_csv(args.omega_true)
-        estimated = model.factorization.dictionary.T @ model.factorization.loadings
+        estimated = coefficient_matrix(model.factorization)
         if omega_rows.T.shape != estimated.shape:
             raise ValueError(
                 f"true coefficients {omega_rows.T.shape} do not match the "

@@ -80,15 +80,11 @@ def score_slopes(z, y, task: str) -> np.ndarray:
     return sigmoid(z) - y
 
 
-def batch_losses(X, y, coefficients, task: str) -> np.ndarray:
-    """Per-sample losses for coefficient columns (p x n) against (n, p) data."""
-    return score_losses(np.einsum("ij,ji->i", X, coefficients), y, task)
-
-
-def batch_loss_subgradients(X, y, coefficients, task: str) -> np.ndarray:
-    """Loss subgradients as a p x n matrix (column i for sample i)."""
-    scale = score_slopes(np.einsum("ij,ji->i", X, coefficients), y, task)
-    return X.T * scale[None, :]
+def batch_loss_terms(X, y, coefficients, task: str) -> tuple:
+    """Per-sample losses (length n) and loss subgradients (p x n, column i
+    for sample i) for coefficient columns (p x n) against (n, p) data."""
+    z = np.einsum("ij,ji->i", X, coefficients)
+    return score_losses(z, y, task), X.T * score_slopes(z, y, task)[None, :]
 
 
 class NeighborPairs(NamedTuple):
@@ -178,16 +174,15 @@ def composite_objective(
     fact: Factorization,
     weights,
     dataset: Dataset,
-    metric: CovariateMetric,
     hyper: HyperParams,
-    pairs: NeighborPairs | None = None,
+    pairs: NeighborPairs,
 ) -> GradientBundle:
     """Value and gradients of the full training objective.
 
     The objective sums, over samples, the predictive loss, the l1 penalty on
     the implied coefficients, and the distance-matching penalty, plus the
-    anchor term pulling the metric weights toward one.  Neighbor pairs are
-    derived from the current loadings unless supplied.
+    anchor term pulling the metric weights toward one, over the step's
+    neighbor ``pairs`` (see ``resolve_pairs``).
 
     The dictionary gradient has no distance-matching contribution: that
     penalty depends on the loadings and weights only.
@@ -196,20 +191,17 @@ def composite_objective(
     X, y, task = dataset.predictors, dataset.responses, dataset.task
     coefficients = coefficient_matrix(fact)
 
-    losses = batch_losses(X, y, coefficients, task)
+    losses, loss_grads = batch_loss_terms(X, y, coefficients, task)
     if not np.all(np.isfinite(losses)):
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NumericalError(f"non-finite loss for sample {bad}", sample=bad)
 
-    loss_grads = batch_loss_subgradients(X, y, coefficients, task)
     penalty_value = hyper.l1 * float(np.sum(np.abs(coefficients)))
     # exactly zero at zero coordinates: the subgradient choice the
     # center-of-mass analysis assumes
     penalty_grads = hyper.l1 * np.sign(coefficients)
     data_grads = loss_grads + penalty_grads  # p x n
 
-    if pairs is None:
-        _, pairs = resolve_pairs(fact.loadings, metric, hyper)
     match_vals, match_gz, match_gw = distance_match(
         fact.loadings, weights, pairs, hyper.distance_match
     )

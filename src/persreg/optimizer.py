@@ -24,7 +24,7 @@ and its accumulated version, checked in instrumented runs) survives them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class TrainState:
     population_coef: np.ndarray
     iteration: int
     last_value: float | None
-    converged: bool = False
     mean_neighbors: float = 0.0
     radius_used: float | None = None
 
@@ -142,7 +141,7 @@ def train_step(
     alpha = learning_rate(hyper, state.iteration)
 
     radius, pairs = resolve_pairs(fact.loadings, metric, hyper, scratch)
-    bundle = composite_objective(fact, weights, dataset, metric, hyper, pairs=pairs)
+    bundle = composite_objective(fact, weights, dataset, hyper, pairs)
 
     rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
     new_weights = np.maximum(0.0, weights - rate_w * bundle.grad_weights)
@@ -178,7 +177,6 @@ def train_step(
         population_coef=state.population_coef,
         iteration=state.iteration + 1,
         last_value=bundle.value,
-        converged=False,
         mean_neighbors=len(pairs.i_idx) / dataset.n,
         radius_used=radius,
     )
@@ -251,7 +249,6 @@ def fit(
         if prev_value is not None and abs(state.last_value - prev_value) <= (
             hyper.rel_tol * max(1.0, abs(prev_value))
         ):
-            state = replace(state, converged=True)
             break
 
     return TrainedModel(

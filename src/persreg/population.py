@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLASSIFICATION, REGRESSION, Dataset, validate_task
-from .objective import score_losses, score_slopes, sigmoid
+from .model import REGRESSION, Dataset, validate_task
+from .objective import score_losses, score_slopes
 
 
 class ElasticNetConvergenceError(RuntimeError):
@@ -62,21 +62,15 @@ def _soft_threshold(v: np.ndarray, amount: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - amount, 0.0)
 
 
-def stationarity_residual(X, y, coef, cfg: ElasticNetConfig) -> float:
-    """Infinity-norm distance of zero from the objective's subdifferential."""
-    g = _smooth_gradient(X, y, coef, cfg.l2, cfg.fit_task)
+def stationarity_residual(coef, grad, l1: float) -> float:
+    """Infinity-norm distance of zero from the objective's subdifferential,
+    given the smooth part's gradient ``grad`` at ``coef``."""
     res = np.where(
         coef != 0.0,
-        np.abs(g + cfg.l1 * np.sign(coef)),
-        np.maximum(np.abs(g) - cfg.l1, 0.0),
+        np.abs(grad + l1 * np.sign(coef)),
+        np.maximum(np.abs(grad) - l1, 0.0),
     )
     return float(np.max(res)) if res.size else 0.0
-
-
-def objective_value(X, y, coef, cfg: ElasticNetConfig) -> float:
-    return _smooth_value(X, y, coef, cfg.l2, cfg.fit_task) + cfg.l1 * float(
-        np.sum(np.abs(coef))
-    )
 
 
 def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> np.ndarray:
@@ -94,9 +88,9 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
     step = 1.0
     value = _smooth_value(X, y, coef, cfg.l2, cfg.fit_task)
     for _ in range(cfg.max_iters):
-        if stationarity_residual(X, y, coef, cfg) <= cfg.rel_tol:
-            return coef
         grad = _smooth_gradient(X, y, coef, cfg.l2, cfg.fit_task)
+        if stationarity_residual(coef, grad, cfg.l1) <= cfg.rel_tol:
+            return coef
         while True:
             trial = _soft_threshold(coef - step * grad, step * cfg.l1)
             delta = trial - coef
@@ -111,26 +105,8 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
         step *= 1.1  # gentle growth so halving stays responsive
         if on_iterate is not None:
             on_iterate(value + cfg.l1 * float(np.sum(np.abs(coef))))
-    residual = stationarity_residual(X, y, coef, cfg)
+    grad = _smooth_gradient(X, y, coef, cfg.l2, cfg.fit_task)
+    residual = stationarity_residual(coef, grad, cfg.l1)
     if residual <= cfg.rel_tol:
         return coef
     raise ElasticNetConvergenceError(coef, residual, cfg.max_iters)
-
-
-def predict_population(coef: np.ndarray, x, task: str):
-    """Linear response for regression, sigmoid of it for classification.
-
-    Accepts a single predictor row or an (m, p) matrix.
-    """
-    coef = np.asarray(coef, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != coef.shape[0]:
-        raise ValueError(
-            f"predictor length {x.shape[-1]} does not match coefficients "
-            f"({coef.shape[0]})"
-        )
-    z = x @ coef
-    validate_task(task)
-    if task == CLASSIFICATION:
-        return sigmoid(np.atleast_1d(z))[0] if z.ndim == 0 else sigmoid(z)
-    return float(z) if z.ndim == 0 else z

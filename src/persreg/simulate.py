@@ -9,7 +9,6 @@ the covariates; responses add Gaussian noise with standard deviation 0.1
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +141,6 @@ def evaluate_recovery(estimated, true, y_pred, y_true) -> RecoveryMetrics:
     mse = float(np.mean((y_pred - y_true) ** 2)) if y_pred.size else 0.0
 
     r2, degenerate = r_squared(y_pred, y_true)
-    if degenerate:
-        warnings.warn("constant predictions or responses; reporting R^2 = 0")
     return RecoveryMetrics(
         recovery=recovery, r2=r2, mse=mse, r2_degenerate=degenerate
     )

@@ -235,19 +235,3 @@ def write_trace_jsonl(path, records) -> None:
         for line in lines:
             fh.write(line)
             fh.write("\n")
-
-
-def read_trace_jsonl(path) -> list:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def ensure_dir(path) -> Path:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    return path

@@ -27,8 +27,7 @@ from persreg.model import (
 )
 from persreg.objective import (
     NeighborPairs,
-    batch_loss_subgradients,
-    batch_losses,
+    batch_loss_terms,
     composite_objective,
     distance_match,
 )
@@ -258,9 +257,9 @@ def test_criterion_6_gradient_oracle():
                 )
                 coef = rng.standard_normal(4)
                 X1, y1 = x[None, :], np.array([y])
-                got = batch_loss_subgradients(X1, y1, coef[:, None], task)[:, 0]
+                got = batch_loss_terms(X1, y1, coef[:, None], task)[1][:, 0]
                 want = central_difference(
-                    lambda c: float(batch_losses(X1, y1, c[:, None], task)[0]),
+                    lambda c: float(batch_loss_terms(X1, y1, c[:, None], task)[0][0]),
                     coef,
                     1e-6,
                 )
@@ -311,7 +310,6 @@ def test_criterion_6_gradient_oracle():
                 responses=y,
                 covariates=CovariateTable.continuous(rng.uniform(size=(n, k))),
             )
-            metric = precompute_cache(ds.covariates)
             weights = rng.uniform(0.5, 1.5, size=k)
             hyper = HyperParams(
                 l1=0.05,
@@ -322,7 +320,7 @@ def test_criterion_6_gradient_oracle():
                 target_neighbors=None,
             )
             pairs = pairs_within(fact.loadings, 3.0, ds.covariates)
-            bundle = composite_objective(fact, weights, ds, metric, hyper, pairs=pairs)
+            bundle = composite_objective(fact, weights, ds, hyper, pairs)
 
             def value(loadings=None, dictionary=None, w=None):
                 f = Factorization(
@@ -330,7 +328,7 @@ def test_criterion_6_gradient_oracle():
                     dictionary=fact.dictionary if dictionary is None else dictionary,
                 )
                 return composite_objective(
-                    f, weights if w is None else w, ds, metric, hyper, pairs=pairs
+                    f, weights if w is None else w, ds, hyper, pairs
                 ).value
 
             assert relative_error(

@@ -101,7 +101,8 @@ class TestTrain:
                 "--rate-floor", 1.0, "--instrument",
             )
         ) == 0
-        records = storage.read_trace_jsonl(out / "trace.jsonl")
+        lines = (out / "trace.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
         assert len(records) == 40
         for r in records:
             assert set(r) >= {"t", "alpha", "objective", "com_step", "com_drift",
@@ -134,6 +135,22 @@ class TestTrain:
         model = storage.load_model(out / "model.json")
         assert model.hyper.max_iters == 5  # from config
         assert model.hyper.l1 == 0.2  # flag wins
+
+    def test_config_task_used_unless_flag_overrides(self, sim_dir, tmp_path):
+        _, Y = storage.read_matrix_csv(sim_dir / "Y.csv")
+        labels = tmp_path / "labels.csv"
+        storage.write_matrix_csv(labels, (Y[:, 0] > np.median(Y[:, 0])).astype(float), ["y"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "classification", "max_iters": 3}))
+        for extra, task in (((), "classification"), (("--task", "regression"), "regression")):
+            out = tmp_path / task
+            assert run_cli(
+                "train", "--x", sim_dir / "X.csv", "--y", labels, "--u", sim_dir / "U.csv",
+                "--out", out, "--seed", 5, "--config", cfg, *extra,
+            ) == 0
+            model = storage.load_model(out / "model.json")
+            assert model.task == task
+            assert model.hyper.max_iters == 3
 
     def test_dimension_mismatch_is_input_error(self, sim_dir, tmp_path):
         other = tmp_path / "other"

@@ -14,8 +14,7 @@ from persreg.model import CovariateTable, Dataset, Factorization, HyperParams
 from persreg.objective import (
     NeighborPairs,
     NumericalError,
-    batch_loss_subgradients,
-    batch_losses,
+    batch_loss_terms,
     composite_objective,
     distance_match,
     resolve_pairs,
@@ -25,16 +24,25 @@ from persreg.objective import (
 from oracles import central_difference, relative_error
 
 
+def one_sample(x, y, coef, task):
+    """``batch_loss_terms`` of a single sample: (loss, subgradient)."""
+    losses, grads = batch_loss_terms(np.array([x], float), np.array([y], float),
+                                     np.array(coef, float)[:, None], task)
+    return float(losses[0]), grads[:, 0]
+
+
 def one_loss(x, y, coef, task):
-    """``batch_losses`` of a single sample."""
-    return float(batch_losses(np.array([x], float), np.array([y], float),
-                              np.array(coef, float)[:, None], task)[0])
+    return one_sample(x, y, coef, task)[0]
 
 
 def one_subgradient(x, y, coef, task):
-    """``batch_loss_subgradients`` of a single sample."""
-    return batch_loss_subgradients(np.array([x], float), np.array([y], float),
-                                   np.array(coef, float)[:, None], task)[:, 0]
+    return one_sample(x, y, coef, task)[1]
+
+
+def step_objective(fact, weights, ds, hyper):
+    """``composite_objective`` over the pairs a training step would use."""
+    _, pairs = resolve_pairs(fact.loadings, precompute_cache(ds.covariates), hyper)
+    return composite_objective(fact, weights, ds, hyper, pairs)
 
 
 class TestSigmoid:
@@ -90,7 +98,7 @@ class TestPredictiveLoss:
                 if task == "regression"
                 else rng.integers(0, 2, 7).astype(float)
             )
-            batch = batch_losses(X, y, theta, task)
+            batch = batch_loss_terms(X, y, theta, task)[0]
             for i in range(7):
                 z = float(X[i] @ theta[:, i])
                 if task == "regression":
@@ -131,7 +139,7 @@ class TestLossSubgradient:
                 if task == "regression"
                 else rng.integers(0, 2, 5).astype(float)
             )
-            batch = batch_loss_subgradients(X, y, theta, task)
+            batch = batch_loss_terms(X, y, theta, task)[1]
             for i in range(5):
                 z = float(X[i] @ theta[:, i])
                 if task == "regression":
@@ -155,8 +163,7 @@ def l1_only(theta, strength):
     fact = Factorization(loadings=theta, dictionary=np.eye(p))
     hyper = HyperParams(l1=strength, distance_match=0.0, weights_anchor=0.0,
                         latent_dim=p)
-    return composite_objective(fact, np.ones(1), ds, precompute_cache(ds.covariates),
-                               hyper)
+    return step_objective(fact, np.ones(1), ds, hyper)
 
 
 class TestL1Term:
@@ -314,8 +321,7 @@ class TestCompositeObjective:
         rng = np.random.default_rng(6)
         fact, ds = perfect_fit_problem(rng)
         hyper = HyperParams(l1=0.0, distance_match=0.0, weights_anchor=0.0)
-        metric = precompute_cache(ds.covariates)
-        bundle = composite_objective(fact, np.ones(2), ds, metric, hyper)
+        bundle = step_objective(fact, np.ones(2), ds, hyper)
         assert bundle.value == pytest.approx(0.0, abs=1e-24)
         assert np.allclose(bundle.grad_loadings, 0.0, atol=1e-12)
         assert np.allclose(bundle.grad_dictionary, 0.0, atol=1e-12)
@@ -324,8 +330,7 @@ class TestCompositeObjective:
         rng = np.random.default_rng(7)
         fact, ds = perfect_fit_problem(rng)
         hyper = HyperParams(l1=0.1, distance_match=0.0, weights_anchor=0.3)
-        metric = precompute_cache(ds.covariates)
-        bundle = composite_objective(fact, np.ones(2), ds, metric, hyper)
+        bundle = step_objective(fact, np.ones(2), ds, hyper)
         assert np.array_equal(bundle.grad_weights, np.zeros(2))
 
     def test_all_blocks_match_finite_differences(self):
@@ -352,7 +357,7 @@ class TestCompositeObjective:
             target_neighbors=None,
         )
         pairs = pairs_within(fact.loadings, 2.0, metric)
-        bundle = composite_objective(fact, weights, ds, metric, hyper, pairs=pairs)
+        bundle = composite_objective(fact, weights, ds, hyper, pairs)
 
         def value_of(loadings=None, dictionary=None, w=None):
             f = Factorization(
@@ -360,7 +365,7 @@ class TestCompositeObjective:
                 dictionary=fact.dictionary if dictionary is None else dictionary,
             )
             ww = weights if w is None else w
-            return composite_objective(f, ww, ds, metric, hyper, pairs=pairs).value
+            return composite_objective(f, ww, ds, hyper, pairs).value
 
         want_z = central_difference(
             lambda z: value_of(loadings=z.reshape(q, n)), fact.loadings.ravel(), 1e-6
@@ -385,9 +390,6 @@ class TestCompositeObjective:
         fact = Factorization(
             loadings=np.array([[1.0, 1e200]]), dictionary=np.array([[1.0]])
         )
-        metric = precompute_cache(ds.covariates)
         with pytest.raises(NumericalError) as err:
-            composite_objective(
-                fact, np.ones(1), ds, metric, HyperParams(distance_match=0.0)
-            )
+            step_objective(fact, np.ones(1), ds, HyperParams(distance_match=0.0))
         assert err.value.sample == 1

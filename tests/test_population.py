@@ -7,9 +7,9 @@ from persreg.model import CovariateTable, Dataset
 from persreg.population import (
     ElasticNetConfig,
     ElasticNetConvergenceError,
+    _smooth_gradient,
+    _smooth_value,
     fit_population,
-    objective_value,
-    predict_population,
     stationarity_residual,
 )
 
@@ -81,7 +81,8 @@ class TestFitPopulation:
             y = (X @ np.array([1.5, -1.0]) > 0).astype(float)
         cfg = ElasticNetConfig(l1=0.05, l2=0.01, rel_tol=1e-9, fit_task=task)
         coef = fit_population(make_dataset(X, y, task), cfg)
-        assert stationarity_residual(X, np.asarray(y, float), coef, cfg) <= 1e-9
+        grad = _smooth_gradient(X, np.asarray(y, float), coef, cfg.l2, task)
+        assert stationarity_residual(coef, grad, cfg.l1) <= 1e-9
 
     def test_beats_coarse_grid_search(self):
         rng = np.random.default_rng(2)
@@ -90,13 +91,15 @@ class TestFitPopulation:
         ds = make_dataset(X, y)
         cfg = ElasticNetConfig(l1=0.15, l2=0.02, rel_tol=1e-10)
         coef = fit_population(ds, cfg)
-        got = objective_value(X, y, coef, cfg)
+
+        def objective(c):
+            return _smooth_value(X, y, c, cfg.l2, cfg.fit_task) + cfg.l1 * float(
+                np.sum(np.abs(c))
+            )
+
         grid = np.arange(-2.0, 2.0001, 0.05)
-        best = min(
-            objective_value(X, y, np.array(point), cfg)
-            for point in itertools.product(grid, grid)
-        )
-        assert got <= best + cfg.rel_tol
+        best = min(objective(np.array(point)) for point in itertools.product(grid, grid))
+        assert objective(coef) <= best + cfg.rel_tol
 
     def test_non_convergence_carries_iterate(self):
         rng = np.random.default_rng(3)
@@ -109,8 +112,6 @@ class TestFitPopulation:
         assert err.value.residual > 1e-14
 
     def test_smooth_gradient_matches_finite_differences(self):
-        from persreg.population import _smooth_gradient, _smooth_value
-
         rng = np.random.default_rng(4)
         X = rng.standard_normal((20, 3))
         for task in ("regression", "classification"):
@@ -125,27 +126,3 @@ class TestFitPopulation:
                 lambda c: _smooth_value(X, y, c, 0.05, task), coef, 1e-6
             )
             assert relative_error(got, want) <= 1e-6
-
-
-class TestPredictPopulation:
-    def test_zero_model(self):
-        assert predict_population(np.zeros(2), [1.0, 2.0], "regression") == 0.0
-        assert predict_population(np.zeros(2), [1.0, 2.0], "classification") == 0.5
-
-    def test_hand_dot_product(self):
-        assert predict_population(
-            np.array([1.0, -1.0]), [2.0, 1.0], "regression"
-        ) == pytest.approx(1.0)
-
-    def test_zero_input_classification(self):
-        assert predict_population(
-            np.array([3.0, -2.0]), [0.0, 0.0], "classification"
-        ) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            predict_population(np.zeros(2), [1.0], "regression")
-
-    def test_matrix_input(self):
-        out = predict_population(np.array([1.0, 0.0]), np.eye(2), "regression")
-        assert np.allclose(out, [1.0, 0.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,8 @@ class TestEvaluateRecovery:
 
     def test_constant_predictions_flagged(self):
         omega = np.zeros((1, 2))
-        with pytest.warns(UserWarning, match="constant"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             m = evaluate_recovery(omega, omega, [1.0, 1.0], [0.0, 2.0])
         assert m.r2 == 0.0
         assert m.r2_degenerate
