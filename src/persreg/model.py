@@ -9,6 +9,7 @@ drifting apart.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -130,7 +131,7 @@ class CovariateTable:
         for idx, (value, kind) in enumerate(zip(row, self.kinds)):
             if kind == CONTINUOUS:
                 value = float(value)
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValueError(f"covariate {idx} is non-finite")
             else:
                 value = str(value)
@@ -307,8 +308,8 @@ class HyperParams:
             raise ValueError("latent_dim must be >= 1")
         if self.radius is None and self.target_neighbors is None:
             raise ValueError("set either radius or target_neighbors")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if self.radius is not None and not 0 < self.radius < float("inf"):
+            raise ValueError("radius must be finite and > 0")
         if self.target_neighbors is not None and self.target_neighbors <= 0:
             raise ValueError("target_neighbors must be > 0")
         if self.lr_init <= 0:

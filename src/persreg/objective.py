@@ -20,9 +20,9 @@ import numpy as np
 from .metric import (
     CovariateMetric,
     auto_radius,
+    candidate_pairs,
     neighbor_pairs,
     neighbor_sets,
-    pairwise_squared,
 )
 from .model import (
     REGRESSION,
@@ -54,13 +54,10 @@ class GradientBundle:
 
 def sigmoid(z) -> np.ndarray:
     """The logistic link, elementwise, in the form that cannot overflow:
-    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
+    read off exp(-|z|) <= 1."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def score_losses(z, y, task: str) -> np.ndarray:
@@ -96,31 +93,25 @@ class NeighborPairs(NamedTuple):
     distances: np.ndarray
 
 
-def resolve_pairs(
-    loadings, metric: CovariateMetric, hyper: HyperParams, scratch=None
-) -> tuple:
+def resolve_pairs(loadings, metric: CovariateMetric, hyper: HyperParams) -> tuple:
     """Neighbor-ball radius and pairs of the current loadings.
 
-    One squared-distance matrix gives both: the fixed radius if configured,
+    One set of grid candidates gives both: the fixed radius if configured,
     otherwise the automatic choice with the neighbor target clipped to
     n - 1.  Without distance matching, or with fewer than two samples, the
-    radius is None and there are no pairs.  ``scratch``, when given, is a
-    (2, n, n) float buffer that holds the matrix and the radius's working
-    copy, so that a training loop allocates them once.
+    radius is None and there are no pairs.
     """
     n = loadings.shape[1]
     if n < 2 or hyper.distance_match == 0.0:
         none = np.empty(0, dtype=np.intp)
         return None, NeighborPairs(none, none, metric.pair_distances(none, none))
-    if scratch is None:
-        scratch = np.empty((2, n, n), dtype=float)
-    sq = pairwise_squared(loadings, out=scratch[0])
     if hyper.radius is not None:
         radius = float(hyper.radius)
+        near = candidate_pairs(loadings, radius)
     else:
         target = min(float(hyper.target_neighbors), float(n - 1))
-        radius = auto_radius(sq, target, scratch=scratch[1].ravel())
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(sq, radius))
+        radius, near = auto_radius(loadings, target)
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
     return radius, NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
 
 

@@ -126,7 +126,6 @@ def train_step(
     dataset: Dataset,
     metric: CovariateMetric,
     hyper: HyperParams,
-    scratch=None,
 ) -> TrainState:
     """One descent iteration.
 
@@ -134,13 +133,12 @@ def train_step(
     loading, and dictionary blocks then move simultaneously.  Loading column
     i is scaled by the global rate divided by the (floored) infinity-norm
     distance of its coefficients from the population anchor.  The weight
-    projection keeps the metric nonnegative.  ``scratch`` is the neighbor
-    pass's (2, n, n) buffer (see ``resolve_pairs``), reused across steps.
+    projection keeps the metric nonnegative.
     """
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
-    radius, pairs = resolve_pairs(fact.loadings, metric, hyper, scratch)
+    radius, pairs = resolve_pairs(fact.loadings, metric, hyper)
     bundle = composite_objective(fact, weights, dataset, hyper, pairs)
 
     rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
@@ -217,11 +215,6 @@ def fit(
     pop = fit_population(dataset, population_cfg)
     metric = precompute_cache(dataset.covariates)
     state = initialize(dataset, hyper, pop, seed)
-    # reused by every step: fresh n * n arrays each step cost page faults
-    # that outweigh a small fit's arithmetic
-    scratch = None
-    if hyper.max_iters and hyper.distance_match != 0.0 and dataset.n >= 2:
-        scratch = np.empty((2, dataset.n, dataset.n))
 
     tracing = trace_fn is not None
     com = center_of_mass(state.factorization) if tracing else None
@@ -229,7 +222,7 @@ def fit(
         prev_value = state.last_value
         alpha = learning_rate(hyper, state.iteration)
         step_index = state.iteration
-        state = train_step(state, dataset, metric, hyper, scratch)
+        state = train_step(state, dataset, metric, hyper)
         if tracing:
             new_com = center_of_mass(state.factorization)
             record = {

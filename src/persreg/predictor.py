@@ -26,10 +26,10 @@ class Prediction:
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest distances, nearest first, ties to the lower
     index: a stable sort of the candidates at or below the k-th smallest."""
-    candidates = np.arange(len(dists))
     if k < len(dists):
-        kth = np.partition(dists, k - 1)[k - 1]
-        candidates = candidates[dists <= kth]
+        candidates = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    else:
+        candidates = np.arange(len(dists))
     order = np.argsort(dists[candidates], kind="stable")
     return candidates[order[:k]]
 
@@ -68,7 +68,7 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
         dists = table.metric.row_distances(model.weights, row)
         chosen = _nearest(dists, kn)
         columns = fact.dictionary.T @ fact.loadings[:, np.sort(chosen)]
-        coefficients = columns.mean(axis=1)
+        coefficients = columns.sum(axis=1) / kn
         z[i] = X[i] @ coefficients
         picks.append((coefficients, chosen, dists[chosen]))
     y_hat = sigmoid(z) if model.task == CLASSIFICATION else z

@@ -125,3 +125,15 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     want = np.asarray(want, dtype=float).ravel()
     scale = max(1e-12, float(np.max(np.abs(want))))
     return float(np.max(np.abs(got - want))) / scale
+
+
+def pairwise_squared(loadings: np.ndarray) -> np.ndarray:
+    """Dense (n, n) squared Euclidean distances between loading columns,
+    accumulated dimension by dimension in row order."""
+    loadings = np.asarray(loadings, dtype=float)
+    n = loadings.shape[1]
+    sq = np.zeros((n, n))
+    for row in loadings:
+        diff = row[:, None] - row[None, :]
+        sq += diff * diff
+    return sq

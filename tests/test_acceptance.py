@@ -11,9 +11,9 @@ import numpy as np
 import persreg as pr
 from persreg.cli import main as cli_main
 from persreg.metric import (
+    candidate_pairs,
     neighbor_pairs,
     neighbor_sets,
-    pairwise_squared,
     precompute_cache,
 )
 from persreg.model import (
@@ -41,6 +41,7 @@ from oracles import (
     covariate_distance_matrices,
     match_gradients_reference,
     match_values_reference,
+    pairwise_squared,
     relative_error,
 )
 
@@ -81,7 +82,8 @@ def random_match_instance(rng, n, q, k=None):
 def pairs_within(loadings, radius, table):
     """Neighbor pairs of the loadings at a fixed radius, with their
     covariate distances."""
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(pairwise_squared(loadings), radius))
+    near = candidate_pairs(loadings, radius)
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
     metric = precompute_cache(table)
     return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import persreg.metric
 from persreg import storage
 from persreg.metric import (
+    RADIUS_NUDGE,
     auto_radius,
+    candidate_pairs,
     neighbor_pairs,
     neighbor_sets,
-    pairwise_squared,
     precompute_cache,
 )
 from persreg.model import (
@@ -17,7 +19,7 @@ from persreg.model import (
     TrainedModel,
 )
 
-from oracles import brute_neighbor_sets, covariate_distance_matrices
+from oracles import brute_neighbor_sets, covariate_distance_matrices, pairwise_squared
 
 
 def mixed_table(rng, n):
@@ -215,10 +217,26 @@ class TestPrecomputeCache:
         assert "metric" not in vars(loaded.train_covariates)
 
 
+def sets_at(Z, radius):
+    """Neighbor balls of the loadings at a fixed radius."""
+    return neighbor_sets(candidate_pairs(Z, radius), radius)
+
+
+def members_of(sets):
+    """Dense membership matrix of neighbor balls."""
+    n = len(sets.indptr) - 1
+    members = np.zeros((n, n), dtype=bool)
+    members[neighbor_pairs(sets)] = True
+    return members
+
+
 def balls(Z, radius):
     """Neighbor balls as lists of indices, one per sample."""
-    members = neighbor_sets(pairwise_squared(Z), radius)
-    return [list(np.flatnonzero(row)) for row in members]
+    sets = sets_at(Z, radius)
+    return [
+        list(sets.indices[sets.indptr[i] : sets.indptr[i + 1]])
+        for i in range(len(sets.indptr) - 1)
+    ]
 
 
 def oracle_members(Z, radius):
@@ -240,28 +258,47 @@ def upper_triangle_radius(Z, target):
     return 1e-12 if kth == 0.0 else kth * (1.0 + 1e-12)
 
 
+def assert_radius_and_balls_exact(Z, target):
+    """The automatic radius equals the plain upper-triangle choice and its
+    balls equal the double-loop oracle's, exactly."""
+    radius, near = auto_radius(Z, target)
+    assert radius == upper_triangle_radius(Z, target)
+    members = members_of(neighbor_sets(near, radius))
+    assert np.array_equal(members, oracle_members(Z, radius))
+    return radius
+
+
 class TestPairwiseSquared:
+    """Squared loading distances, read off the grid's candidate pairs."""
+
     @pytest.mark.parametrize("block", [1, 200, 1 << 16])
     def test_blocks_match_whole_matrix(self, monkeypatch, block):
-        # one row per block, 3 rows with a short last block, one block
-        import persreg.metric
-
+        # grids of at most 1, 200 and 65536 cells per axis: every candidate
+        # carries its dense matrix entry bit for bit, and every pair below
+        # the reach is a candidate exactly once
         rng = np.random.default_rng(block)
         Z = rng.standard_normal((3, 53))
         want = np.zeros((53, 53))
         for row in Z:
             diff = row[:, None] - row[None, :]
             want += diff * diff
-        monkeypatch.setattr(persreg.metric, "PAIRWISE_BLOCK", block)
-        got = pairwise_squared(Z)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, got.T) and not got.diagonal().any()
+        monkeypatch.setattr(persreg.metric, "MAX_CELLS", block)
+        for radius in (1e-6, 0.5):
+            near = candidate_pairs(Z, radius)
+            i, j = near.order[near.first], near.order[near.second]
+            assert near.reach >= radius
+            assert np.array_equal(near.sq, want[i, j])
+            seen = np.zeros((53, 53), dtype=int)
+            np.add.at(seen, (np.minimum(i, j), np.maximum(i, j)), 1)
+            assert seen.max() <= 1 and not np.tril(seen).any()
+            assert seen[np.triu(want < near.reach, k=1)].all()
+        assert np.isinf(near.reach) == (block == 1)
 
 
 class TestNeighborSets:
     def test_single_sample(self):
-        members = neighbor_sets(pairwise_squared(np.zeros((2, 1))), 1.0)
-        assert members.shape == (1, 1) and not members.any()
+        sets = sets_at(np.zeros((2, 1)), 1.0)
+        assert list(sets.indptr) == [0, 0] and len(sets.indices) == 0
 
     def test_one_dimensional_hand_case(self):
         assert balls(np.array([[0.0, 1.0, 3.0]]), 1.5) == [[1], [0], []]
@@ -277,69 +314,76 @@ class TestNeighborSets:
         assert balls(np.array([[0.0, 2.0]]), 4.0) == [[], []]
 
     def test_radius_must_be_positive(self):
+        near = candidate_pairs(np.zeros((1, 2)), 1.0)
         with pytest.raises(ValueError, match="radius"):
-            neighbor_sets(pairwise_squared(np.zeros((1, 2))), 0.0)
+            neighbor_sets(near, 0.0)
+        with pytest.raises(ValueError, match="radius"):
+            candidate_pairs(np.zeros((1, 2)), 0.0)
 
     def test_symmetric_relation(self):
         rng = np.random.default_rng(3)
-        members = neighbor_sets(pairwise_squared(rng.standard_normal((3, 40))), 2.0)
+        members = members_of(sets_at(rng.standard_normal((3, 40)), 2.0))
         assert np.array_equal(members, members.T)
 
-    # The two tests below keep the names they had when the query had a
-    # spatial-grid path; both now check the dense query against the
-    # double-loop oracle exactly.
     @given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 3))
     @example(11, 200, 2)
     def test_grid_matches_brute_force(self, seed, n, q):
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((q, n))
         radius = float(rng.uniform(0.05, 2.0))
-        got = neighbor_sets(pairwise_squared(Z), radius)
+        got = members_of(sets_at(Z, radius))
         assert np.array_equal(got, oracle_members(Z, radius))
 
     def test_grid_path_matches_reference_loops(self):
         rng = np.random.default_rng(11)
         Z = rng.standard_normal((2, 200))
         radius = 0.3
-        got = neighbor_sets(pairwise_squared(Z), radius)
+        got = members_of(sets_at(Z, radius))
         assert np.array_equal(got, oracle_members(Z, radius))
 
     def test_pairs_are_sorted_by_i_then_j(self):
         rng = np.random.default_rng(5)
-        members = neighbor_sets(pairwise_squared(rng.standard_normal((2, 30))), 1.0)
-        i_idx, j_idx = neighbor_pairs(members)
+        sets = sets_at(rng.standard_normal((2, 30)), 1.0)
+        members = members_of(sets)
+        i_idx, j_idx = neighbor_pairs(sets)
         order = np.lexsort((j_idx, i_idx))
         assert np.array_equal(order, np.arange(len(i_idx)))
         assert np.array_equal(members[i_idx, j_idx], np.ones(len(i_idx), dtype=bool))
         assert len(i_idx) == members.sum()
 
+    def test_radius_beyond_the_candidates_rejected(self):
+        Z = np.random.default_rng(6).standard_normal((2, 50))
+        near = candidate_pairs(Z, 0.01)
+        with pytest.raises(ValueError, match="reach"):
+            neighbor_sets(near, 2.0 * near.reach)
+
 
 class TestAutoRadius:
     def test_two_points_forced(self):
         Z = np.array([[0.0, 2.0]])
-        r = auto_radius(pairwise_squared(Z), 1.0)
+        r, _ = auto_radius(Z, 1.0)
         assert r > 4.0
         assert balls(Z, r) == [[1], [0]]
 
     def test_one_dimensional_hand_case(self):
         Z = np.array([[0.0, 1.0, 3.0]])
-        r = auto_radius(pairwise_squared(Z), 2.0)
+        r, _ = auto_radius(Z, 2.0)
         assert 9.0 < r < 9.0 * (1.0 + 1e-11)
         assert all(len(ball) == 2 for ball in balls(Z, r))
 
     def test_identical_points_degenerate(self):
         Z = np.zeros((2, 5))
-        r = auto_radius(pairwise_squared(Z), 2.0)
+        r, _ = auto_radius(Z, 2.0)
         assert r == 1e-12
         assert all(len(ball) == 4 for ball in balls(Z, r))
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            auto_radius(pairwise_squared(np.zeros((1, 1))), 1.0)
+            auto_radius(np.zeros((1, 1)), 1.0)
 
     def test_target_range_validated(self):
         with pytest.raises(ValueError):
-            auto_radius(pairwise_squared(np.zeros((1, 3))), 2.5)
+            auto_radius(np.zeros((1, 3)), 2.5)
 
     @given(st.integers(0, 2**32 - 1))
     def test_duplicate_columns_match_upper_triangle(self, seed):
@@ -348,17 +392,16 @@ class TestAutoRadius:
         n = int(rng.integers(2, 60))
         Z = rng.standard_normal((2, n))[:, rng.integers(0, max(1, n // 3), size=n)]
         target = float(rng.uniform(0.1, n - 1))
-        got = auto_radius(pairwise_squared(Z), target)
+        got, _ = auto_radius(Z, target)
         assert got == upper_triangle_radius(Z, target)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
     def test_largest_target_takes_largest_pair(self, n):
         # m = n(n - 1) / 2, the last pair distance
         Z = np.random.default_rng(n).standard_normal((3, n))
-        sq = pairwise_squared(Z)
-        r = auto_radius(sq, n - 1)
+        r, _ = auto_radius(Z, n - 1)
         assert r == upper_triangle_radius(Z, n - 1)
-        assert r == float(sq.max()) * (1.0 + 1e-12)
+        assert r == float(pairwise_squared(Z).max()) * (1.0 + 1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     def test_average_count_near_target(self, seed):
@@ -366,7 +409,97 @@ class TestAutoRadius:
         n = int(rng.integers(20, 120))
         Z = rng.standard_normal((2, n))
         target = float(rng.uniform(1.0, min(15.0, n - 1)))
-        r = auto_radius(pairwise_squared(Z), target)
-        assert r == upper_triangle_radius(Z, target)
+        r = assert_radius_and_balls_exact(Z, target)
         avg = sum(len(ball) for ball in balls(Z, r)) / n
         assert target - 1.0 <= avg <= target + 1.0
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_anisotropic_start_matches_upper_triangle(self, q):
+        # rows whose spreads differ by ten orders of magnitude, as at the
+        # factorized start, where one latent row is nearly constant
+        rng = np.random.default_rng(q)
+        Z = rng.standard_normal((q, 300)) * np.logspace(0, -10, q)[:, None]
+        Z[-1] += 3.0
+        for target in (1.0, 10.0, 299.0):
+            assert_radius_and_balls_exact(Z, target)
+
+
+def degenerate_loadings(rng, kind, q, n):
+    """Loadings that stress the grid: tight far-apart clusters, columns
+    drawn from a small pool, or one point repeated, at a random scale and
+    offset."""
+    scale = 10.0 ** rng.uniform(-8, 8)
+    offset = rng.standard_normal((q, 1)) * 10.0 ** rng.uniform(-8, 8)
+    if kind == "clustered":
+        centers = rng.standard_normal((q, int(rng.integers(1, 5))))
+        spread = 10.0 ** rng.uniform(-12, -2)
+        labels = rng.integers(0, centers.shape[1], size=n)
+        Z = centers[:, labels] + spread * rng.standard_normal((q, n))
+    elif kind == "duplicated":
+        Z = rng.standard_normal((q, n))[:, rng.integers(0, max(1, n // 4), size=n)]
+    else:
+        Z = np.repeat(rng.standard_normal((q, 1)), n, axis=1)
+    return offset + scale * Z
+
+
+class TestDegenerateGeometry:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["clustered", "duplicated", "coincident"]),
+        st.integers(1, 3),
+        st.integers(2, 60),
+    )
+    @example(0, "clustered", 2, 60)
+    @example(1, "coincident", 3, 2)
+    def test_radius_and_balls_match_oracles(self, seed, kind, q, n):
+        rng = np.random.default_rng(seed)
+        Z = degenerate_loadings(rng, kind, q, n)
+        for target in (float(rng.uniform(0.1, n - 1)), float(n - 1)):
+            assert_radius_and_balls_exact(Z, target)
+        upper = pairwise_squared(Z)[np.triu_indices(n, k=1)]
+        positive = upper[upper > 0.0]
+        # below every positive pair distance: only coincident pairs remain
+        low = float(positive.min()) / 2.0 if positive.size else 1e-300
+        members = members_of(sets_at(Z, low))
+        assert np.array_equal(members, oracle_members(Z, low))
+        assert members.sum() == 2 * np.count_nonzero(upper == 0.0)
+        # above every pair distance: every pair
+        high = 2.0 * float(upper.max()) + 1.0
+        members = members_of(sets_at(Z, high))
+        assert members.sum() == n * (n - 1)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_coincident_loadings_take_every_pair(self, q):
+        n = 500
+        Z = np.full((q, n), 1e8)
+        radius, near = auto_radius(Z, 10.0)
+        assert radius == RADIUS_NUDGE
+        i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
+        assert len(i_idx) == n * (n - 1)
+        assert not np.any(i_idx == j_idx)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loadings_rejected(self, bad):
+        Z = np.random.default_rng(0).standard_normal((2, 10))
+        Z[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            auto_radius(Z, 3.0)
+        with pytest.raises(ValueError, match="finite"):
+            candidate_pairs(Z, 1.0)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_radius_rejected(self, radius):
+        Z = np.random.default_rng(1).standard_normal((2, 10))
+        with pytest.raises(ValueError, match="radius"):
+            candidate_pairs(Z, radius)
+        with pytest.raises(ValueError, match="radius"):
+            neighbor_sets(candidate_pairs(Z, 1.0), radius)
+
+    def test_overflowing_range_rejected(self):
+        Z = np.array([[-1e308, 1e308, 0.0]])
+        with pytest.raises(ValueError, match="overflow"):
+            auto_radius(Z, 1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            candidate_pairs(Z, 1.0)

@@ -195,6 +195,7 @@ class TestHyperParams:
             {"lr_decay": 1.0},
             {"lr_init": 0.0},
             {"radius": -1.0},
+            {"radius": float("inf")},
             {"radius": None, "target_neighbors": None},
             {"n_neighbors": 0},
             {"rel_tol": 0.0},

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from persreg.metric import (
+    candidate_pairs,
     neighbor_pairs,
     neighbor_sets,
-    pairwise_squared,
     precompute_cache,
 )
 from persreg.model import CovariateTable, Dataset, Factorization, HyperParams
@@ -21,7 +21,7 @@ from persreg.objective import (
     sigmoid,
 )
 
-from oracles import central_difference, relative_error
+from oracles import central_difference, pairwise_squared, relative_error
 
 
 def one_sample(x, y, coef, task):
@@ -192,7 +192,8 @@ class TestL1Term:
 def pairs_within(loadings, radius, metric):
     """Neighbor pairs of the loadings at a fixed radius, with their
     covariate distances."""
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(pairwise_squared(loadings), radius))
+    near = candidate_pairs(loadings, radius)
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
     return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
 
 
@@ -200,19 +201,6 @@ def two_sample_setup(z_values, u_values, radius=10.0):
     loadings = np.asarray(z_values, dtype=float)
     table = CovariateTable.continuous(np.asarray(u_values, dtype=float))
     return loadings, pairs_within(loadings, radius, precompute_cache(table))
-
-
-def test_reused_scratch_gives_fresh_results():
-    rng = np.random.default_rng(9)
-    metric = precompute_cache(CovariateTable.continuous(rng.uniform(size=(30, 2))))
-    scratch = np.full((2, 30, 30), np.nan)
-    for hyper in (HyperParams(), HyperParams(radius=0.5)):
-        loadings = rng.standard_normal((2, 30))
-        want_radius, want = resolve_pairs(loadings, metric, hyper)
-        got_radius, got = resolve_pairs(loadings, metric, hyper, scratch)
-        assert got_radius == want_radius
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
 
 
 class TestDistanceMatchValues:

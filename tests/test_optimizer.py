@@ -195,28 +195,40 @@ class TestFit:
         )
         assert np.array_equal(model.weights, np.ones(3))
 
-    def test_zero_iteration_fit_memory_stays_linear(self):
-        # the dense (k, n, n) per-covariate distances would take 360 MB here
+    @staticmethod
+    def mixed_dataset(n):
         rng = np.random.default_rng(12)
-        n = 3000
         cols = [rng.uniform(size=n) for _ in range(3)] + [
             np.array([f"c{v}" for v in rng.integers(0, 6, n)], dtype=object)
             for _ in range(2)
         ]
-        ds = Dataset(
+        return Dataset(
             predictors=rng.standard_normal((n, 3)),
             responses=rng.standard_normal(n),
             covariates=CovariateTable.from_columns(
                 cols, ["continuous"] * 3 + ["categorical"] * 2
             ),
         )
+
+    @staticmethod
+    def fit_peak_bytes(ds, hyper):
         tracemalloc.start()
         try:
-            fit(ds, HyperParams(max_iters=0), seed=0)
+            fit(ds, hyper, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        return peak
+
+    def test_zero_iteration_fit_memory_stays_linear(self):
+        # the dense (k, n, n) per-covariate distances would take 360 MB here
+        ds = self.mixed_dataset(3000)
+        assert self.fit_peak_bytes(ds, HyperParams(max_iters=0)) < 20e6
+
+    def test_training_steps_memory_stays_linear(self):
+        # a dense (n, n) neighbor pass would take 200 MB per matrix here
+        ds = self.mixed_dataset(5000)
+        assert self.fit_peak_bytes(ds, HyperParams(max_iters=3)) < 40e6
 
     def test_deterministic_end_to_end(self):
         inst = generate(40, 2, 3, seed=8)
