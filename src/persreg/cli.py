@@ -209,19 +209,13 @@ def run_predict(args) -> int:
     header = ["row_id", "y_hat", "neighbor_ids"]
     if args.include_theta:
         header += [f"theta{j}" for j in range(model.n_predictors)]
-    lines = [",".join(header)]
+    rows = []
     for i, pred in enumerate(preds):
-        cells = [
-            str(i),
-            repr(float(pred.y_hat)),
-            ";".join(str(int(j)) for j in pred.neighbor_ids),
-        ]
+        row = [i, float(pred.y_hat), ";".join(str(int(j)) for j in pred.neighbor_ids)]
         if args.include_theta:
-            cells += [repr(float(v)) for v in pred.coefficients]
-        lines.append(",".join(cells))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+            row += pred.coefficients.tolist()
+        rows.append(row)
+    storage.write_csv(args.out, header, rows)
     return 0
 
 
@@ -245,20 +239,16 @@ def auroc_rank_sum(scores, labels) -> float:
 
 
 def _read_predictions(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty predictions file")
-    header = lines[0].split(",")
+    header, rows, lines = storage.read_csv(path)
     if "y_hat" not in header:
         raise ValueError(f"{path}: missing y_hat column")
     col = header.index("y_hat")
     y_hat = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}:{line_no}: expected {len(header)} cells")
-        y_hat.append(float(cells[col]))
+    for row, line in zip(rows, lines):
+        try:
+            y_hat.append(float(row[col]))
+        except ValueError:
+            raise ValueError(f"{path}:{line}: non-numeric y_hat") from None
     y_hat = np.array(y_hat, dtype=float)
     if not np.all(np.isfinite(y_hat)):
         raise ValueError(f"{path}: non-finite y_hat")

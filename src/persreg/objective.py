@@ -44,9 +44,11 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Composite objective value with the three gradient blocks."""
+    """Composite objective value with the three gradient blocks, and the
+    per-sample coefficients they were evaluated at."""
 
     value: float
+    coefficients: np.ndarray  # p x n
     grad_loadings: np.ndarray  # q x n
     grad_dictionary: np.ndarray  # q x p
     grad_weights: np.ndarray  # k
@@ -217,6 +219,7 @@ def composite_objective(
         raise NumericalError("non-finite gradient in composite objective")
     return GradientBundle(
         value=value,
+        coefficients=coefficients,
         grad_loadings=grad_loadings,
         grad_dictionary=grad_dictionary,
         grad_weights=grad_weights,

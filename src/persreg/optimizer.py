@@ -36,7 +36,6 @@ from .model import (
     HyperParams,
     TrainedModel,
     center_of_mass,
-    coefficient_matrix,
 )
 from .objective import NumericalError, composite_objective, resolve_pairs
 from .population import ElasticNetConfig, fit_population
@@ -110,11 +109,7 @@ def _weight_rate_limit(alpha: float, pair_distances, hyper) -> float:
     of that trace, and the configured rate is used whenever it already is.
     ``pair_distances`` holds the (k, P) per-covariate distances of the pairs.
     """
-    total = 0.0
-    if hyper.distance_match > 0.0 and pair_distances.shape[1]:
-        for d in pair_distances:
-            total += float(np.sum(d * d))
-        total *= hyper.distance_match
+    total = hyper.distance_match * sum(float(np.sum(d * d)) for d in pair_distances)
     total += 2.0 * hyper.weights_anchor * pair_distances.shape[0]
     if total <= 0.0:
         return alpha
@@ -144,8 +139,9 @@ def train_step(
     rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
     new_weights = np.maximum(0.0, weights - rate_w * bundle.grad_weights)
 
-    coefficients = coefficient_matrix(fact)
-    anchor_dist = np.max(np.abs(coefficients - state.population_coef[:, None]), axis=0)
+    anchor_dist = np.max(
+        np.abs(bundle.coefficients - state.population_coef[:, None]), axis=0
+    )
     rates = alpha / np.maximum(hyper.rate_floor, anchor_dist)
     step_loadings = rates[None, :] * bundle.grad_loadings
     if radius is not None:

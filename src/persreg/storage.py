@@ -2,13 +2,15 @@
 
 Numbers are written with shortest round-trip formatting (Python's repr), so
 re-serializing parsed artifacts is byte-identical and seeded pipelines can
-be compared file for file.
+be compared file for file.  Every file is written through one atomic writer
+and every CSV is read through one row reader.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import secrets
@@ -27,8 +29,57 @@ from .model import (
 )
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, with ``\\n`` line ends.
+
+    The text goes to a uniquely named temporary file beside the target
+    (beside the file a symlink points to), which then replaces it, so a
+    failed write never leaves a partial file behind.  An existing target
+    keeps its mode; a new one gets the mode ``open`` would give it.
+    """
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as fh:
+            fh.write(text)
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells; a float cell is written as its
+    repr, the shortest text that parses back to the same number."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
+
+
+def read_csv(path) -> tuple:
+    """Returns (header, rows, lines): every non-blank data row, each checked
+    to be as wide as the header, and the line of the file it ends on."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells"
+                )
+            rows.append(row)
+            lines.append(reader.line_num)
+    return header, rows, lines
 
 
 def write_matrix_csv(path, matrix, header) -> None:
@@ -37,11 +88,7 @@ def write_matrix_csv(path, matrix, header) -> None:
         matrix = matrix[:, None]
     if len(header) != matrix.shape[1]:
         raise ValueError("header width must match matrix")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, header, matrix.tolist())
 
 
 def read_matrix_csv(path) -> tuple:
@@ -50,73 +97,56 @@ def read_matrix_csv(path) -> tuple:
     Cells must be finite numbers: ``nan`` and ``inf`` parse as floats but
     are rejected like any other malformed cell.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    header, rows, lines = read_csv(path)
+    values = []
+    for row, line in zip(rows, lines):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} cells")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
-    matrix = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+            values.append([float(v) for v in row])
+        except ValueError:
+            raise ValueError(f"{path}:{line}: non-numeric cell") from None
+    matrix = np.asarray(values, dtype=float) if values else np.empty((0, len(header)))
     if not np.all(np.isfinite(matrix)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))[0])
-        raise ValueError(f"{path}: non-finite cell in data row {bad + 1}")
+        raise ValueError(f"{path}:{lines[bad]}: non-finite cell")
     return header, matrix
 
 
+def _covariate_rows(table: CovariateTable) -> list:
+    """The table row by row: floats for continuous cells, labels for
+    categorical ones.  ``model.json`` and the covariates CSV share it."""
+    cells = [
+        col.tolist() if kind == CONTINUOUS else list(col)
+        for col, kind in zip(table.columns, table.kinds)
+    ]
+    return [list(row) for row in zip(*cells)]
+
+
 def write_covariates_csv(path, table: CovariateTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.names)
-        for i in range(len(table)):
-            row = []
-            for col, kind in zip(table.columns, table.kinds):
-                row.append(_fmt(col[i]) if kind == CONTINUOUS else str(col[i]))
-            writer.writerow(row)
+    write_csv(path, table.names, _covariate_rows(table))
 
 
 def read_covariates_csv(path, kinds=None) -> CovariateTable:
     """Read a covariate table; without an explicit schema, columns that parse
     as numbers become continuous and the rest categorical."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        raw = [row for row in reader if row]
-    for line_no, row in enumerate(raw, start=2):
-        if len(row) != len(names):
-            raise ValueError(f"{path}:{line_no}: expected {len(names)} cells")
-    columns = list(zip(*raw)) if raw else [() for _ in names]
+    names, rows, _ = read_csv(path)
     if kinds is None:
-        kinds = []
-        for col in columns:
-            try:
-                [float(v) for v in col]
-                kinds.append(CONTINUOUS)
-            except ValueError:
-                kinds.append(CATEGORICAL)
-    if len(kinds) != len(names):
+        kinds = [None] * len(names)
+    elif len(kinds) != len(names):
         raise ValueError("schema does not cover every covariate column")
-    parsed = []
-    for col, kind in zip(columns, kinds):
-        if kind == CONTINUOUS:
-            parsed.append(np.array([float(v) for v in col], dtype=float))
-        elif kind == CATEGORICAL:
-            parsed.append(np.array([str(v) for v in col], dtype=object))
-        else:
-            raise ValueError(f"unknown covariate kind {kind!r}")
-    return CovariateTable.from_columns(parsed, kinds, names)
+    columns = list(zip(*rows)) if rows else [() for _ in names]
+    parsed, found = [], []
+    for name, col, kind in zip(names, columns, kinds):
+        if kind is None or kind == CONTINUOUS:
+            try:
+                col, kind = [float(v) for v in col], CONTINUOUS
+            except ValueError:
+                if kind == CONTINUOUS:
+                    msg = f"{path}: covariate {name!r} is not numeric"
+                    raise ValueError(msg) from None
+                kind = CATEGORICAL
+        parsed.append(col)
+        found.append(kind)
+    return CovariateTable.from_columns(parsed, found, names)
 
 
 def read_schema(path) -> list:
@@ -132,28 +162,10 @@ def read_schema(path) -> list:
 
 
 def dump_json(path, obj) -> None:
-    """Write strict JSON atomically.
-
-    A NaN or infinity raises before any file is opened.  The text goes to a
-    uniquely named temporary file beside the target (beside the file a
-    symlink points to), which then replaces it, so a failed write never
-    leaves a partial file behind.  An existing target keeps its mode; a new
-    one gets the mode ``open`` would give it.
-    """
+    """Write strict JSON atomically; a NaN or infinity raises before any
+    file is opened."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-        if path.exists():
-            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_atomic(path, text + "\n")
 
 
 def load_json(path):
@@ -171,12 +183,6 @@ def hyper_from_dict(data: dict) -> HyperParams:
 
 def model_to_dict(model: TrainedModel) -> dict:
     table = model.train_covariates
-    rows = []
-    for i in range(len(table)):
-        row = []
-        for col, kind in zip(table.columns, table.kinds):
-            row.append(float(col[i]) if kind == CONTINUOUS else str(col[i]))
-        rows.append(row)
     return {
         "task": model.task,
         "hyper": dataclasses.asdict(model.hyper),
@@ -187,7 +193,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "covariates": {
             "names": list(table.names),
             "kinds": list(table.kinds),
-            "rows": rows,
+            "rows": _covariate_rows(table),
         },
     }
 
@@ -197,14 +203,7 @@ def model_from_dict(data: dict) -> TrainedModel:
         cov = data["covariates"]
         names, kinds, rows = cov["names"], cov["kinds"], cov["rows"]
         columns = list(zip(*rows)) if rows else [() for _ in names]
-        table = CovariateTable.from_columns(
-            [
-                np.array(col, dtype=float if kind == CONTINUOUS else object)
-                for col, kind in zip(columns, kinds)
-            ],
-            kinds,
-            names,
-        )
+        table = CovariateTable.from_columns(columns, kinds, names)
         fact = Factorization(
             loadings=np.asarray(data["loadings"], dtype=float),
             dictionary=np.asarray(data["dictionary"], dtype=float),
@@ -231,7 +230,4 @@ def load_model(path) -> TrainedModel:
 
 def write_trace_jsonl(path, records) -> None:
     lines = [json.dumps(record, sort_keys=True, allow_nan=False) for record in records]
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    _write_atomic(path, "".join(line + "\n" for line in lines))

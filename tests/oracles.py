@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from persreg.metric import candidate_pairs, neighbor_pairs, neighbor_sets
+from persreg.objective import NeighborPairs
+
 
 def brute_neighbor_sets(loadings: np.ndarray, radius: float) -> list:
     """Double-loop neighbor query with strict squared-distance inequality."""
@@ -137,3 +140,17 @@ def pairwise_squared(loadings: np.ndarray) -> np.ndarray:
         diff = row[:, None] - row[None, :]
         sq += diff * diff
     return sq
+
+
+def oracle_matrices(table) -> list:
+    """The oracle's dense per-covariate distance matrices of a table."""
+    rows = [table.row(i) for i in range(len(table))]
+    return covariate_distance_matrices(rows, table.kinds)
+
+
+def pairs_within(loadings, radius, metric) -> NeighborPairs:
+    """Neighbor pairs of the loadings at a fixed radius, found by the
+    library's grid pass, with their covariate distances under ``metric``."""
+    near = candidate_pairs(loadings, radius)
+    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
+    return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))

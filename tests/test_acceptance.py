@@ -10,12 +10,7 @@ import numpy as np
 
 import persreg as pr
 from persreg.cli import main as cli_main
-from persreg.metric import (
-    candidate_pairs,
-    neighbor_pairs,
-    neighbor_sets,
-    precompute_cache,
-)
+from persreg.metric import precompute_cache
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -26,7 +21,6 @@ from persreg.model import (
     normalize_dictionary,
 )
 from persreg.objective import (
-    NeighborPairs,
     batch_loss_terms,
     composite_objective,
     distance_match,
@@ -38,9 +32,10 @@ from persreg.predictor import predict_point, rank_neighbors
 from oracles import (
     brute_neighbor_sets,
     central_difference,
-    covariate_distance_matrices,
     match_gradients_reference,
     match_values_reference,
+    oracle_matrices,
+    pairs_within,
     pairwise_squared,
     relative_error,
 )
@@ -79,21 +74,6 @@ def random_match_instance(rng, n, q, k=None):
     return loadings, weights, table, radius, strength
 
 
-def pairs_within(loadings, radius, table):
-    """Neighbor pairs of the loadings at a fixed radius, with their
-    covariate distances."""
-    near = candidate_pairs(loadings, radius)
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
-    metric = precompute_cache(table)
-    return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
-
-
-def oracle_matrices(table):
-    """The oracle's dense per-covariate distance matrices of a table."""
-    rows = [table.row(i) for i in range(len(table))]
-    return covariate_distance_matrices(rows, table.kinds)
-
-
 def test_criterion_1_matcher_never_moves_center_of_mass():
     """Summed loading gradients of the distance matcher cancel exactly."""
     with criterion(1, "matcher center-of-mass identity"):
@@ -107,7 +87,7 @@ def test_criterion_1_matcher_never_moves_center_of_mass():
             loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q
             )
-            pairs = pairs_within(loadings, radius, table)
+            pairs = pairs_within(loadings, radius, precompute_cache(table))
             _, gz, _ = distance_match(loadings, weights, pairs, strength)
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
         elapsed = time.time() - start
@@ -275,7 +255,7 @@ def test_criterion_6_gradient_oracle():
                 rng, n, q, k=2
             )
             weights = weights + 0.1
-            pairs = pairs_within(loadings, radius, table)
+            pairs = pairs_within(loadings, radius, precompute_cache(table))
             _, gz, gw = distance_match(loadings, weights, pairs, strength)
             want_z = central_difference(
                 lambda z: float(
@@ -321,7 +301,7 @@ def test_criterion_6_gradient_oracle():
                 radius=3.0,
                 target_neighbors=None,
             )
-            pairs = pairs_within(fact.loadings, 3.0, ds.covariates)
+            pairs = pairs_within(fact.loadings, 3.0, precompute_cache(ds.covariates))
             bundle = composite_objective(fact, weights, ds, hyper, pairs)
 
             def value(loadings=None, dictionary=None, w=None):
@@ -389,7 +369,7 @@ def test_criterion_7_spatial_index_matches_brute_force():
             loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q, k=2
             )
-            pairs = pairs_within(loadings, radius, table)
+            pairs = pairs_within(loadings, radius, precompute_cache(table))
             want_sets = brute_neighbor_sets(loadings, radius)
             assert np.array_equal(
                 pairs.i_idx, np.repeat(np.arange(n), [len(b) for b in want_sets])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import warnings
 
@@ -7,7 +9,7 @@ import scipy.stats
 
 from persreg import storage
 from persreg.cli import auroc_rank_sum, main
-from persreg.model import HyperParams
+from persreg.model import CovariateTable, Dataset, HyperParams
 from persreg.optimizer import fit
 
 
@@ -417,18 +419,114 @@ def test_json_output_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         storage.dump_json(path, {"mse": float("nan")})
     assert not path.exists()
-    with pytest.raises(ValueError):
-        storage.write_trace_jsonl(tmp_path / "t.jsonl", [{"objective": float("inf")}])
-
-
-def test_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.json"
     storage.dump_json(path, {"a": 1})
     before = path.read_bytes()
     with pytest.raises(ValueError):
         storage.dump_json(path, {"a": float("nan")})
     with pytest.raises(TypeError):
         storage.dump_json(path, {"a": object()})
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError):
+        storage.write_trace_jsonl(tmp_path / "t.jsonl", [{"objective": float("inf")}])
+
+
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        ("matrix", "a,b\n1.0,2.0\n\n3.0\n", 4),
+        ("covariates", "u0,u1\n1.0,x\n\n2.0\n", 4),
+        ("predictions", "row_id,y_hat,neighbor_ids\n0,0.5,0\n\n1\n", 4),
+        ("matrix", "a,b\n\n\n1.0,2.0\n\n1.0,oops\n", 6),
+        # a quoted cell spanning two lines
+        ("covariates", 'u0,u1\n1.0,"x\ny"\n2.0\n', 4),
+    ],
+    ids=["matrix", "covariates", "predictions", "matrix-cell", "covariates-quoted"],
+)
+def test_malformed_row_is_reported_at_its_line(tmp_path, capsys, name, text, line):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text)
+    if name == "predictions":
+        truth = tmp_path / "y.csv"
+        storage.write_matrix_csv(truth, np.array([0.5, 1.0]), ["y"])
+        assert run_cli(
+            "evaluate", "--predictions", path, "--responses", truth,
+            "--out", tmp_path / "m.json",
+        ) == 2
+        assert f"{path}:{line}:" in capsys.readouterr().err
+        return
+    read = storage.read_matrix_csv if name == "matrix" else storage.read_covariates_csv
+    with pytest.raises(ValueError, match=f":{line}:"):
+        read(path)
+
+
+def test_csv_readers_skip_blank_lines(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("u0,u1\n\n1.5,a\n\n\n-2.0,b\n\n")
+    table = storage.read_covariates_csv(path)
+    assert table.kinds == ("continuous", "categorical")
+    assert table.columns[0].tolist() == [1.5, -2.0]
+    assert table.columns[1].tolist() == ["a", "b"]
+    path.write_text("a,b\n\n1.5,2.0\n\n")
+    assert storage.read_matrix_csv(path)[1].tolist() == [[1.5, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "kinds, message",
+    [(["continuous", "continuous"], "'u1' is not numeric"),
+     (["continuous", ""], "kind ''")],
+    ids=["non-numeric", "unknown-kind"],
+)
+def test_covariate_schema_is_checked_against_the_columns(tmp_path, kinds, message):
+    path = tmp_path / "u.csv"
+    path.write_text("u0,u1\n1.5,a\n")
+    with pytest.raises(ValueError, match=message):
+        storage.read_covariates_csv(path, kinds=kinds)
+
+
+@pytest.fixture(params=["json", "matrix", "covariates", "trace", "predict"])
+def writer(request, tmp_path):
+    """A function ``write(path, version)`` through one artifact writer; each
+    version writes different bytes."""
+    kind = request.param
+    if kind == "json":
+        return lambda path, v: storage.dump_json(path, {"a": v})
+    if kind == "matrix":
+        return lambda path, v: storage.write_matrix_csv(path, [float(v)], ["a"])
+    if kind == "covariates":
+        return lambda path, v: storage.write_covariates_csv(
+            path, CovariateTable.continuous([[float(v)]]))
+    if kind == "trace":
+        return lambda path, v: storage.write_trace_jsonl(path, [{"a": v}] * v)
+
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    rng = np.random.default_rng(0)
+    X, U = rng.normal(size=(8, 2)), rng.normal(size=(8, 1))
+    ds = Dataset(predictors=X, responses=X[:, 0], covariates=CovariateTable.continuous(U))
+    storage.save_model(inputs / "model.json", fit(ds, HyperParams(max_iters=0), seed=0))
+    storage.write_matrix_csv(inputs / "X.csv", X, ["x0", "x1"])
+    storage.write_matrix_csv(inputs / "U.csv", U, ["u0"])
+
+    def predict(path, v):
+        # main() turns an OSError into exit 2 and an "error:" line on stderr
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(
+                "predict", "--model", inputs / "model.json", "--x", inputs / "X.csv",
+                "--u", inputs / "U.csv", "--out", path, "--n-neighbors", v,
+            )
+        if code:
+            raise OSError(err.getvalue())
+
+    return predict
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "artifact"
+    writer(path, 1)
+    before = path.read_bytes()
 
     def replace_fails(src, dst):
         raise OSError("disk full")
@@ -436,34 +534,40 @@ def test_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
     # a failure after the temporary file is written
     monkeypatch.setattr(storage.os, "replace", replace_fails)
     with pytest.raises(OSError, match="disk full"):
-        storage.dump_json(path, {"a": 2})
+        writer(path, 2)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert [p.name for p in out.iterdir()] == ["artifact"]
 
 
-def test_json_overwrite_keeps_mode_and_writes_through_symlinks(tmp_path):
-    plain = tmp_path / "plain.json"
+def test_overwrite_keeps_mode_and_writes_through_symlinks(tmp_path, writer):
+    out = tmp_path / "out"
+    out.mkdir()
+    plain = out / "plain"
     with open(plain, "w"):
         pass
-    fresh = tmp_path / "fresh.json"
-    storage.dump_json(fresh, {"a": 1})
+    fresh = out / "fresh"
+    writer(fresh, 1)
     assert fresh.stat().st_mode == plain.stat().st_mode
 
-    private = tmp_path / "private.json"
-    storage.dump_json(private, {"a": 1})
+    private = out / "private"
+    writer(private, 1)
+    before = private.read_bytes()
     private.chmod(0o600)
-    storage.dump_json(private, {"a": 2})
+    writer(private, 2)
     assert private.stat().st_mode & 0o777 == 0o600
-    assert storage.load_json(private) == {"a": 2}
+    want = tmp_path / "want"
+    writer(want, 2)
+    assert private.read_bytes() == want.read_bytes()
 
-    link = tmp_path / "link.json"
+    link = out / "link"
     link.symlink_to(private)
-    storage.dump_json(link, {"a": 3})
+    writer(link, 3)
+    writer(want, 3)
     assert link.is_symlink()
-    assert storage.load_json(private) == {"a": 3}
+    assert private.read_bytes() == want.read_bytes() != before
     assert private.stat().st_mode & 0o777 == 0o600
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fresh.json", "link.json", "plain.json", "private.json"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fresh", "link", "plain", "private"]
 
 
 def test_auroc_rank_sum_ties_and_separation():

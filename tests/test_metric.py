@@ -19,7 +19,7 @@ from persreg.model import (
     TrainedModel,
 )
 
-from oracles import brute_neighbor_sets, covariate_distance_matrices, pairwise_squared
+from oracles import brute_neighbor_sets, oracle_matrices, pairwise_squared
 
 
 def mixed_table(rng, n):
@@ -35,11 +35,6 @@ def mixed_table(rng, n):
 def all_pairs(n):
     """Every ordered pair (i, j), row-major."""
     return np.divmod(np.arange(n * n), n)
-
-
-def oracle_matrices(table):
-    rows = [table.row(i) for i in range(len(table))]
-    return covariate_distance_matrices(rows, table.kinds)
 
 
 class TestFeatureDistance:

@@ -4,15 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from persreg.metric import (
-    candidate_pairs,
-    neighbor_pairs,
-    neighbor_sets,
-    precompute_cache,
-)
+from persreg.metric import precompute_cache
 from persreg.model import CovariateTable, Dataset, Factorization, HyperParams
 from persreg.objective import (
-    NeighborPairs,
     NumericalError,
     batch_loss_terms,
     composite_objective,
@@ -21,7 +15,7 @@ from persreg.objective import (
     sigmoid,
 )
 
-from oracles import central_difference, pairwise_squared, relative_error
+from oracles import central_difference, pairs_within, pairwise_squared, relative_error
 
 
 def one_sample(x, y, coef, task):
@@ -187,14 +181,6 @@ class TestL1Term:
         theta[:, 0] = [0.0, -0.0, 1.0]
         grad = l1_only(theta, 1.0).grad_loadings[:, 0]
         assert grad[0] == 0.0 and grad[1] == 0.0 and grad[2] == 1.0
-
-
-def pairs_within(loadings, radius, metric):
-    """Neighbor pairs of the loadings at a fixed radius, with their
-    covariate distances."""
-    near = candidate_pairs(loadings, radius)
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
-    return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
 
 
 def two_sample_setup(z_values, u_values, radius=10.0):
