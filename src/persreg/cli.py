@@ -139,15 +139,13 @@ def run_simulate(args) -> int:
 
 def _config_from_args(args) -> dict:
     """Train settings: the ``--config`` object (read once) under the
-    explicit flags, ``task`` included."""
+    explicit flags, ``task`` included.  ``storage.hyper_from_dict`` rejects
+    unknown keys."""
     config = {}
     if args.config:
         config = storage.load_json(args.config)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(config) - set(CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:
@@ -161,7 +159,7 @@ def _config_from_args(args) -> dict:
 def run_train(args) -> int:
     config = _config_from_args(args)
     task = config.pop("task", None) or REGRESSION
-    hyper = HyperParams(**config)
+    hyper = storage.hyper_from_dict(config)
     _, X = storage.read_matrix_csv(args.x)
     _, Y = storage.read_matrix_csv(args.y)
     if Y.shape[1] != 1:

@@ -1,19 +1,11 @@
-"""The learned covariate metric over an encoded table, and neighbor-ball
-queries over the loading space.
-
-The covariate metric reads the training table in an encoded form, built
-once per table on first use: continuous columns as float64, each
-categorical column as integer codes into its sorted distinct labels.
-Training reads per-covariate distances only at the neighbor pairs of each
-step, and prediction only from one row to every sample, so no pairwise
-matrix over the covariates is ever built.
+"""Neighbor-ball queries over the loading space.
 
 Neighbor balls live on squared Euclidean distance between loading columns.
 A sorted cell grid over the two widest loading rows lists candidate pairs
 that hold every pair closer than the grid's reach, each pair once, and both
 the automatic radius and the neighbor pairs are read from those candidates.
-No (n, n) array over the loadings is built either: memory grows with n plus
-the number of candidates.
+No (n, n) array over the loadings is built: memory grows with n plus the
+number of candidates.  The covariate distances live on ``CovariateTable``.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CONTINUOUS, CovariateTable
+from .model import CovariateTable
 
 RADIUS_NUDGE = 1e-12
 # A grid of cells h wide holds every pair whose squared distance lies below
@@ -41,75 +33,11 @@ MAX_CELLS = 1 << 24
 GUESS_SLACK = 1.2
 
 
-class CovariateMetric:
-    """Per-covariate distances over an encoded covariate table.
-
-    Continuous columns use absolute difference, categorical columns the
-    0/1 discrete metric, evaluated as an inequality of integer codes.  The
-    learned distance is the nonnegative weighted sum of the per-covariate
-    distances.
-    """
-
-    def __init__(self, table: CovariateTable):
-        values, labels = [], []
-        for col, kind in zip(table.columns, table.kinds):
-            if kind == CONTINUOUS:
-                values.append(col)
-                labels.append(None)
-            else:
-                distinct, codes = np.unique(col, return_inverse=True)
-                values.append(codes)
-                labels.append(distinct)
-        self.values = tuple(values)
-        self.labels = tuple(labels)
-
-    @property
-    def width(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values[0])
-
-    def pair_distances(self, i_idx, j_idx) -> np.ndarray:
-        """(k, P) per-covariate distances between samples i_idx[p] and
-        j_idx[p]."""
-        out = np.empty((self.width, len(i_idx)), dtype=float)
-        for dist, vals, labels in zip(out, self.values, self.labels):
-            if labels is None:
-                np.abs(vals[i_idx] - vals[j_idx], out=dist)
-            else:
-                np.not_equal(vals[i_idx], vals[j_idx], out=dist)
-        return out
-
-    def row_distances(self, weights, row) -> np.ndarray:
-        """Learned distance from one covariate row to every sample.
-
-        ``row`` follows the table's schema (``CovariateTable.validate_row``).
-        The weighted per-covariate distances are added column by column.  A
-        label absent from the table gets code -1, so it differs from every
-        sample.
-        """
-        if not len(weights) == len(row) == self.width:
-            raise ValueError("weights and row must cover every covariate")
-        dists = np.zeros(len(self), dtype=float)
-        per = np.empty(len(self), dtype=float)
-        for w, vals, labels, value in zip(weights, self.values, self.labels, row):
-            if labels is None:
-                np.subtract(vals, value, out=per)
-                np.abs(per, out=per)
-            else:
-                pos = int(np.searchsorted(labels, value))
-                code = pos if pos < len(labels) and labels[pos] == value else -1
-                np.not_equal(vals, code, out=per)
-            per *= w
-            dists += per
-        return dists
-
-
-def precompute_cache(covariates: CovariateTable) -> CovariateMetric:
-    """The covariate metric of a training table, encoded on first use and
-    kept by the table."""
-    return covariates.metric
+def precompute_cache(covariates: CovariateTable) -> CovariateTable:
+    """The training table, its covariate encoding built.  Kept as the fit's
+    probe point until ROADMAP item 3 redefines the benchmark's probes."""
+    covariates.encoding  # a cached property: reading it builds it
+    return covariates
 
 
 class Candidates(NamedTuple):

@@ -1,5 +1,11 @@
-"""Shared data model: datasets, the factorized per-sample coefficients, and
-hyperparameters.
+"""Shared data model: the covariate table with its learned-metric distances,
+datasets, the factorized per-sample coefficients, and hyperparameters.
+
+The covariate distances read the table in an encoded form, built once per
+table on the first distance query: continuous columns as float64, each
+categorical column as integer codes.  Training reads per-covariate distances
+only at the neighbor pairs of each step, and prediction only from one row to
+every sample, so no pairwise matrix over the covariates is ever built.
 
 Per-sample coefficient vectors are never stored as a dense p x n matrix on
 their own.  They are always derived from a shared dictionary (q x p) and
@@ -45,7 +51,9 @@ class CovariateTable:
     """Column-typed covariate table.
 
     Continuous columns are float arrays; categorical columns keep their labels
-    as strings.  ``kinds`` is the per-column metric schema.
+    as strings.  ``kinds`` is the per-column metric schema, and
+    ``pair_distances`` and ``row_distances`` evaluate the learned covariate
+    metric over the table.
     """
 
     columns: tuple
@@ -102,12 +110,56 @@ class CovariateTable:
         return len(self.columns)
 
     @cached_property
-    def metric(self):
-        """The covariate metric over this table (``metric.CovariateMetric``),
-        encoded on first use, so building or loading a table encodes nothing."""
-        from .metric import CovariateMetric  # metric.py imports this module
+    def encoding(self) -> tuple:
+        """Per column, the values the distances read and the code of each
+        label: a continuous column as it is, with None; a categorical column
+        as integer codes in order of first appearance, with its
+        ``label -> code`` dict.  Built on the first distance query and kept,
+        so building or loading a table encodes nothing."""
+        out = []
+        for col, kind in zip(self.columns, self.kinds):
+            if kind == CONTINUOUS:
+                out.append((col, None))
+                continue
+            codebook: dict = {}
+            codes = np.fromiter(
+                (codebook.setdefault(v, len(codebook)) for v in col),
+                dtype=np.intp,
+                count=len(col),
+            )
+            out.append((codes, codebook))
+        return tuple(out)
 
-        return CovariateMetric(self)
+    def pair_distances(self, i_idx, j_idx) -> np.ndarray:
+        """(k, P) per-covariate distances between rows i_idx[p] and
+        j_idx[p]: the absolute difference on a continuous column, the 0/1
+        discrete metric (an inequality of codes) on a categorical one."""
+        out = np.empty((self.width, len(i_idx)), dtype=float)
+        for dist, (vals, codebook) in zip(out, self.encoding):
+            if codebook is None:
+                np.abs(vals[i_idx] - vals[j_idx], out=dist)
+            else:
+                np.not_equal(vals[i_idx], vals[j_idx], out=dist)
+        return out
+
+    def row_distances(self, weights, row) -> np.ndarray:
+        """Learned distance from one covariate row to every row of the table:
+        the per-covariate distances times ``weights``, added column by
+        column.  ``row`` follows the schema (``validate_row``); a label the
+        table lacks gets code -1, so it differs from every row."""
+        if not len(weights) == len(row) == self.width:
+            raise ValueError("weights and row must cover every covariate")
+        dists = np.zeros(len(self), dtype=float)
+        per = np.empty(len(self), dtype=float)
+        for w, (vals, codebook), value in zip(weights, self.encoding, row):
+            if codebook is None:
+                np.subtract(vals, value, out=per)
+                np.abs(per, out=per)
+            else:
+                np.not_equal(vals, codebook.get(value, -1), out=per)
+            per *= w
+            dists += per
+        return dists
 
     def row(self, i: int) -> tuple:
         return tuple(col[i] for col in self.columns)

@@ -17,15 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import (
-    CovariateMetric,
-    auto_radius,
-    candidate_pairs,
-    neighbor_pairs,
-    neighbor_sets,
-)
+from .metric import auto_radius, candidate_pairs, neighbor_pairs, neighbor_sets
 from .model import (
     REGRESSION,
+    CovariateTable,
     Dataset,
     Factorization,
     HyperParams,
@@ -54,36 +49,37 @@ class GradientBundle:
     grad_weights: np.ndarray  # k
 
 
+def _logistic(z, e) -> np.ndarray:
+    """The logistic link at z, given e = exp(-|z|)."""
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(z) -> np.ndarray:
     """The logistic link, elementwise, in the form that cannot overflow:
     1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
     read off exp(-|z|) <= 1."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _logistic(z, np.exp(-np.abs(z)))
 
 
-def score_losses(z, y, task: str) -> np.ndarray:
-    """Per-sample losses at linear scores z: squared error for regression,
-    log loss for classification, written as max(z, 0) - y z +
-    log1p(exp(-|z|)) so large |z| cannot overflow."""
+def score_terms(z, y, task: str) -> tuple:
+    """Per-sample losses at linear scores z and their derivatives with
+    respect to z.  Regression: squared error and -2 (y - z).
+    Classification: log loss, written as max(z, 0) - y z + log1p(exp(-|z|))
+    so large |z| cannot overflow, and sigmoid(z) - y, both from one
+    exp(-|z|)."""
     if task == REGRESSION:
         r = y - z
-        return r * r
-    return np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
-
-
-def score_slopes(z, y, task: str) -> np.ndarray:
-    """Derivative of each sample's loss with respect to its score z."""
-    if task == REGRESSION:
-        return -2.0 * (y - z)
-    return sigmoid(z) - y
+        return r * r, -2.0 * r
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) - y * z + np.log1p(e), _logistic(z, e) - y
 
 
 def batch_loss_terms(X, y, coefficients, task: str) -> tuple:
     """Per-sample losses (length n) and loss subgradients (p x n, column i
     for sample i) for coefficient columns (p x n) against (n, p) data."""
     z = np.einsum("ij,ji->i", X, coefficients)
-    return score_losses(z, y, task), X.T * score_slopes(z, y, task)[None, :]
+    losses, slopes = score_terms(z, y, task)
+    return losses, X.T * slopes[None, :]
 
 
 class NeighborPairs(NamedTuple):
@@ -95,7 +91,7 @@ class NeighborPairs(NamedTuple):
     distances: np.ndarray
 
 
-def resolve_pairs(loadings, metric: CovariateMetric, hyper: HyperParams) -> tuple:
+def resolve_pairs(loadings, covariates: CovariateTable, hyper: HyperParams) -> tuple:
     """Neighbor-ball radius and pairs of the current loadings.
 
     One set of grid candidates gives both: the fixed radius if configured,
@@ -106,7 +102,7 @@ def resolve_pairs(loadings, metric: CovariateMetric, hyper: HyperParams) -> tupl
     n = loadings.shape[1]
     if n < 2 or hyper.distance_match == 0.0:
         none = np.empty(0, dtype=np.intp)
-        return None, NeighborPairs(none, none, metric.pair_distances(none, none))
+        return None, NeighborPairs(none, none, covariates.pair_distances(none, none))
     if hyper.radius is not None:
         radius = float(hyper.radius)
         near = candidate_pairs(loadings, radius)
@@ -114,7 +110,7 @@ def resolve_pairs(loadings, metric: CovariateMetric, hyper: HyperParams) -> tupl
         target = min(float(hyper.target_neighbors), float(n - 1))
         radius, near = auto_radius(loadings, target)
     i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
-    return radius, NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
+    return radius, NeighborPairs(i_idx, j_idx, covariates.pair_distances(i_idx, j_idx))
 
 
 def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:

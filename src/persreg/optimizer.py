@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import CovariateMetric, precompute_cache
+from .metric import precompute_cache
 from .model import (
     REGRESSION,
     Dataset,
@@ -116,12 +116,7 @@ def _weight_rate_limit(alpha: float, pair_distances, hyper) -> float:
     return min(alpha, 1.0 / total)
 
 
-def train_step(
-    state: TrainState,
-    dataset: Dataset,
-    metric: CovariateMetric,
-    hyper: HyperParams,
-) -> TrainState:
+def train_step(state: TrainState, dataset: Dataset, hyper: HyperParams) -> TrainState:
     """One descent iteration.
 
     All gradients are evaluated at the snapshot taken on entry; the weight,
@@ -133,7 +128,7 @@ def train_step(
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
-    radius, pairs = resolve_pairs(fact.loadings, metric, hyper)
+    radius, pairs = resolve_pairs(fact.loadings, dataset.covariates, hyper)
     bundle = composite_objective(fact, weights, dataset, hyper, pairs)
 
     rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
@@ -209,7 +204,7 @@ def fit(
             l1=hyper.l1, l2=1e-4 * hyper.l1, fit_task=dataset.task
         )
     pop = fit_population(dataset, population_cfg)
-    metric = precompute_cache(dataset.covariates)
+    precompute_cache(dataset.covariates)
     state = initialize(dataset, hyper, pop, seed)
 
     tracing = trace_fn is not None
@@ -218,7 +213,7 @@ def fit(
         prev_value = state.last_value
         alpha = learning_rate(hyper, state.iteration)
         step_index = state.iteration
-        state = train_step(state, dataset, metric, hyper)
+        state = train_step(state, dataset, hyper)
         if tracing:
             new_com = center_of_mass(state.factorization)
             record = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import REGRESSION, Dataset, validate_task
-from .objective import score_losses, score_slopes
+from .objective import score_terms
 
 
 class ElasticNetConvergenceError(RuntimeError):
@@ -48,14 +48,12 @@ class ElasticNetConfig:
         validate_task(self.fit_task)
 
 
-def _smooth_value(X, y, coef, l2, task) -> float:
-    data = float(np.mean(score_losses(X @ coef, y, task)))
-    return data + l2 * float(coef @ coef)
-
-
-def _smooth_gradient(X, y, coef, l2, task) -> np.ndarray:
-    g = X.T @ score_slopes(X @ coef, y, task) / X.shape[0]
-    return g + 2.0 * l2 * coef
+def _smooth_terms(X, y, coef, l2, task) -> tuple:
+    """Value and gradient of the smooth part, the mean loss plus
+    l2 * |coef|^2, at ``coef``."""
+    losses, slopes = score_terms(X @ coef, y, task)
+    value = float(np.mean(losses)) + l2 * float(coef @ coef)
+    return value, X.T @ slopes / X.shape[0] + 2.0 * l2 * coef
 
 
 def _soft_threshold(v: np.ndarray, amount: float) -> np.ndarray:
@@ -80,32 +78,37 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
     the quadratic upper bound fails, and stops once the stationarity
     residual drops to ``cfg.rel_tol`` in infinity norm.  ``on_iterate``,
     when given, is called with the full objective value after every
-    accepted step.
+    accepted step.  ``cfg.fit_task`` must be the dataset's task: the
+    center-of-mass bookkeeping needs the coefficients stationary for the
+    loss that training uses.
     """
+    if cfg.fit_task != dataset.task:
+        raise ValueError(
+            f"population fit_task {cfg.fit_task!r} does not match the "
+            f"dataset's task {dataset.task!r}"
+        )
     X = dataset.predictors
     y = dataset.responses
     coef = np.zeros(dataset.p, dtype=float)
     step = 1.0
-    value = _smooth_value(X, y, coef, cfg.l2, cfg.fit_task)
+    value, grad = _smooth_terms(X, y, coef, cfg.l2, cfg.fit_task)
     for _ in range(cfg.max_iters):
-        grad = _smooth_gradient(X, y, coef, cfg.l2, cfg.fit_task)
         if stationarity_residual(coef, grad, cfg.l1) <= cfg.rel_tol:
             return coef
         while True:
             trial = _soft_threshold(coef - step * grad, step * cfg.l1)
             delta = trial - coef
-            trial_value = _smooth_value(X, y, trial, cfg.l2, cfg.fit_task)
+            trial_value, trial_grad = _smooth_terms(X, y, trial, cfg.l2, cfg.fit_task)
             bound = value + float(grad @ delta) + float(delta @ delta) / (2.0 * step)
             if trial_value <= bound + 1e-15:
                 break
             step *= 0.5
             if step < 1e-18:
                 break
-        coef, value = trial, trial_value
+        coef, value, grad = trial, trial_value, trial_grad
         step *= 1.1  # gentle growth so halving stays responsive
         if on_iterate is not None:
             on_iterate(value + cfg.l1 * float(np.sum(np.abs(coef))))
-    grad = _smooth_gradient(X, y, coef, cfg.l2, cfg.fit_task)
     residual = stationarity_residual(coef, grad, cfg.l1)
     if residual <= cfg.rel_tol:
         return coef

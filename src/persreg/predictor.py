@@ -37,7 +37,7 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
 def rank_neighbors(model: TrainedModel, u_row) -> np.ndarray:
     """Training indices ordered nearest first, ties broken by index."""
     table = model.train_covariates
-    dists = table.metric.row_distances(model.weights, table.validate_row(u_row))
+    dists = table.row_distances(model.weights, table.validate_row(u_row))
     return _nearest(dists, len(dists))
 
 
@@ -65,7 +65,7 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
     fact = model.factorization
     picks, z = [], np.empty(len(rows), dtype=float)
     for i, row in enumerate(rows):
-        dists = table.metric.row_distances(model.weights, row)
+        dists = table.row_distances(model.weights, row)
         chosen = _nearest(dists, kn)
         columns = fact.dictionary.T @ fact.loadings[:, np.sort(chosen)]
         coefficients = columns.sum(axis=1) / kn

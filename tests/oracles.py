@@ -148,9 +148,9 @@ def oracle_matrices(table) -> list:
     return covariate_distance_matrices(rows, table.kinds)
 
 
-def pairs_within(loadings, radius, metric) -> NeighborPairs:
+def pairs_within(loadings, radius, table) -> NeighborPairs:
     """Neighbor pairs of the loadings at a fixed radius, found by the
-    library's grid pass, with their covariate distances under ``metric``."""
+    library's grid pass, with their covariate distances over ``table``."""
     near = candidate_pairs(loadings, radius)
     i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
-    return NeighborPairs(i_idx, j_idx, metric.pair_distances(i_idx, j_idx))
+    return NeighborPairs(i_idx, j_idx, table.pair_distances(i_idx, j_idx))

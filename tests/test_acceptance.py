@@ -10,7 +10,6 @@ import numpy as np
 
 import persreg as pr
 from persreg.cli import main as cli_main
-from persreg.metric import precompute_cache
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -87,7 +86,7 @@ def test_criterion_1_matcher_never_moves_center_of_mass():
             loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q
             )
-            pairs = pairs_within(loadings, radius, precompute_cache(table))
+            pairs = pairs_within(loadings, radius, table)
             _, gz, _ = distance_match(loadings, weights, pairs, strength)
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
         elapsed = time.time() - start
@@ -255,7 +254,7 @@ def test_criterion_6_gradient_oracle():
                 rng, n, q, k=2
             )
             weights = weights + 0.1
-            pairs = pairs_within(loadings, radius, precompute_cache(table))
+            pairs = pairs_within(loadings, radius, table)
             _, gz, gw = distance_match(loadings, weights, pairs, strength)
             want_z = central_difference(
                 lambda z: float(
@@ -301,7 +300,7 @@ def test_criterion_6_gradient_oracle():
                 radius=3.0,
                 target_neighbors=None,
             )
-            pairs = pairs_within(fact.loadings, 3.0, precompute_cache(ds.covariates))
+            pairs = pairs_within(fact.loadings, 3.0, ds.covariates)
             bundle = composite_objective(fact, weights, ds, hyper, pairs)
 
             def value(loadings=None, dictionary=None, w=None):
@@ -336,7 +335,7 @@ def test_criterion_6_gradient_oracle():
             checked += 1
 
         # population solver's smooth descent direction
-        from persreg.population import _smooth_gradient, _smooth_value
+        from persreg.population import _smooth_terms
 
         for _ in range(20):
             task = "regression" if rng.uniform() < 0.5 else "classification"
@@ -347,9 +346,9 @@ def test_criterion_6_gradient_oracle():
                 else rng.integers(0, 2, 12).astype(float)
             )
             coef = rng.standard_normal(3)
-            got = _smooth_gradient(X, y, coef, 0.03, task)
+            _, got = _smooth_terms(X, y, coef, 0.03, task)
             want = central_difference(
-                lambda c: _smooth_value(X, y, c, 0.03, task), coef, 1e-6
+                lambda c: _smooth_terms(X, y, c, 0.03, task)[0], coef, 1e-6
             )
             assert relative_error(got, want) <= 1e-5
             checked += 1
@@ -369,7 +368,7 @@ def test_criterion_7_spatial_index_matches_brute_force():
             loadings, weights, table, radius, strength = random_match_instance(
                 rng, n, q, k=2
             )
-            pairs = pairs_within(loadings, radius, precompute_cache(table))
+            pairs = pairs_within(loadings, radius, table)
             want_sets = brute_neighbor_sets(loadings, radius)
             assert np.array_equal(
                 pairs.i_idx, np.repeat(np.arange(n), [len(b) for b in want_sets])

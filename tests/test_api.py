@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import persreg
+from persreg import cli, storage
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_FILES = sorted((ROOT / "perfbench").glob("*.py")) + sorted(
@@ -98,11 +99,41 @@ def test_caller_references_resolve(path):
             pytest.fail(f"{path.name}: persreg{ref} does not resolve ({exc})")
 
 
-def test_probe_targets_are_callable():
+def load_probes():
     spec = importlib.util.spec_from_file_location("probes", ROOT / "perfbench" / "probes.py")
     probes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probes)
+    return probes
+
+
+def test_probe_targets_are_callable():
+    probes = load_probes()
     assert probes.TARGETS
     for owner, attr, _ in probes.TARGETS:
         module = importlib.import_module("persreg." + owner)
         assert callable(getattr(module, attr, None)), f"persreg.{owner}.{attr}"
+
+
+def test_every_probe_target_is_called(tmp_path):
+    """A tiny fit, a save and a CLI predict call every probe target, so a
+    target that still exists but is no longer called fails here, not only
+    in the benchmark's selftest."""
+    probes = load_probes()
+    inst = persreg.generate(30, 2, 2, seed=0)
+    test = inst.test_dataset()
+    storage.write_matrix_csv(tmp_path / "x.csv", test.predictors, ["x0", "x1"])
+    storage.write_covariates_csv(tmp_path / "u.csv", test.covariates)
+    tracer = probes.Tracer()
+    with tracer.installed():
+        model = persreg.fit(inst.train_dataset(), persreg.HyperParams(max_iters=2))
+        storage.save_model(tmp_path / "model.json", model)
+        code = cli.main(
+            ["predict", "--model", str(tmp_path / "model.json"),
+             "--x", str(tmp_path / "x.csv"), "--u", str(tmp_path / "u.csv"),
+             "--out", str(tmp_path / "pred.csv")]
+        )
+    assert code == 0
+    assert tracer.missing == []
+    recorded = {span[0] for span in tracer.spans}
+    for owner, attr, name in probes.TARGETS:
+        assert name in recorded, f"persreg.{owner}.{attr} was not called"

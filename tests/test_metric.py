@@ -19,7 +19,12 @@ from persreg.model import (
     TrainedModel,
 )
 
-from oracles import brute_neighbor_sets, oracle_matrices, pairwise_squared
+from oracles import (
+    brute_neighbor_sets,
+    covariate_distance_matrices,
+    oracle_matrices,
+    pairwise_squared,
+)
 
 
 def mixed_table(rng, n):
@@ -41,18 +46,18 @@ class TestFeatureDistance:
     """Per-covariate distances, read through ``pair_distances``."""
 
     def test_continuous_identity(self):
-        metric = CovariateTable.continuous([[0.3], [0.3]]).metric
-        assert np.array_equal(metric.pair_distances([0, 0], [0, 1]), [[0.0, 0.0]])
+        table = CovariateTable.continuous([[0.3], [0.3]])
+        assert np.array_equal(table.pair_distances([0, 0], [0, 1]), [[0.0, 0.0]])
 
     def test_continuous_hand_value(self):
-        metric = CovariateTable.continuous([[1.5], [-0.5]]).metric
-        assert np.array_equal(metric.pair_distances([0], [1]), [[2.0]])
+        table = CovariateTable.continuous([[1.5], [-0.5]])
+        assert np.array_equal(table.pair_distances([0], [1]), [[2.0]])
 
     def test_discrete_indicator(self):
         table = CovariateTable.from_columns(
             [np.array(["A", "B", "A"], dtype=object)], ["categorical"]
         )
-        assert np.array_equal(table.metric.pair_distances([0, 0], [1, 2]), [[1.0, 0.0]])
+        assert np.array_equal(table.pair_distances([0, 0], [1, 2]), [[1.0, 0.0]])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):
@@ -68,8 +73,8 @@ class TestFeatureDistance:
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_metric_axioms_continuous(self, a, b):
-        metric = CovariateTable.continuous([[a], [b]]).metric
-        d_ab, d_ba = metric.pair_distances([0, 1], [1, 0])[0]
+        table = CovariateTable.continuous([[a], [b]])
+        d_ab, d_ba = table.pair_distances([0, 1], [1, 0])[0]
         assert d_ab >= 0.0
         assert d_ab == d_ba
         assert (d_ab == 0.0) == (a == b)
@@ -83,24 +88,24 @@ class TestWeightedDistance:
             [np.array([0.5, 1.0]), np.array(["x", "y"], dtype=object)],
             ["continuous", "categorical"],
         )
-        got = table.metric.row_distances(np.array([1.0, 7.0]), (0.5, "x"))
+        got = table.row_distances(np.array([1.0, 7.0]), (0.5, "x"))
         assert np.array_equal(got, [0.0, 7.5])
 
     def test_hand_value(self):
-        metric = CovariateTable.continuous([[0.0, 0.0]]).metric
-        got = metric.row_distances(np.array([1.0, 2.0]), (0.5, 1.0))
+        table = CovariateTable.continuous([[0.0, 0.0]])
+        got = table.row_distances(np.array([1.0, 2.0]), (0.5, 1.0))
         assert np.array_equal(got, [2.5])
 
     def test_zero_weights(self):
-        metric = CovariateTable.continuous([[-5.0]]).metric
-        assert np.array_equal(metric.row_distances(np.zeros(1), (3.0,)), [0.0])
+        table = CovariateTable.continuous([[-5.0]])
+        assert np.array_equal(table.row_distances(np.zeros(1), (3.0,)), [0.0])
 
     def test_length_mismatch(self):
-        metric = CovariateTable.continuous([[0.0, 1.0]]).metric
+        table = CovariateTable.continuous([[0.0, 1.0]])
         with pytest.raises(ValueError, match="every covariate"):
-            metric.row_distances(np.ones(2), (0.0,))
+            table.row_distances(np.ones(2), (0.0,))
         with pytest.raises(ValueError, match="every covariate"):
-            metric.row_distances(np.ones(1), (0.0, 1.0))
+            table.row_distances(np.ones(1), (0.0, 1.0))
 
     @given(st.integers(0, 2**32 - 1))
     def test_mixed_kinds_match_oracle(self, seed):
@@ -115,7 +120,7 @@ class TestWeightedDistance:
             want = np.zeros(n)
             for w, mat in zip(weights, mats):
                 want += w * mat[i]
-            got = table.metric.row_distances(weights, table.row(i))
+            got = table.row_distances(weights, table.row(i))
             assert np.array_equal(got, want)
 
     @given(
@@ -133,7 +138,7 @@ class TestWeightedDistance:
             list(zip(*rows)), ["continuous"] * (k - 1) + ["categorical"]
         )
         weights = np.asarray(weights)
-        d = [table.metric.row_distances(weights, r) for r in rows]
+        d = [table.row_distances(weights, r) for r in rows]
         duv, dvw, duw = d[0][1], d[1][2], d[0][2]
         assert duv >= 0.0
         assert d[0][0] == 0.0
@@ -142,12 +147,13 @@ class TestWeightedDistance:
 
 
 class TestPrecomputeCache:
-    """The encoded covariate metric of a training table."""
+    """A training table after ``precompute_cache``: its encoding built once,
+    its distances read off the codes."""
 
     def test_single_sample_all_zero(self):
-        metric = precompute_cache(CovariateTable.continuous([[1.0, 2.0]]))
-        assert (metric.width, len(metric)) == (2, 1)
-        assert np.array_equal(metric.pair_distances([0], [0]), np.zeros((2, 1)))
+        table = precompute_cache(CovariateTable.continuous([[1.0, 2.0]]))
+        assert (table.width, len(table)) == (2, 1)
+        assert np.array_equal(table.pair_distances([0], [0]), np.zeros((2, 1)))
 
     def test_duplicate_rows_all_zero(self):
         table = CovariateTable.from_columns(
@@ -158,9 +164,9 @@ class TestPrecomputeCache:
         assert np.array_equal(got, np.zeros((2, 4)))
 
     def test_hand_pairwise_matrix(self):
-        metric = precompute_cache(CovariateTable.continuous([[0.0], [1.0], [3.0]]))
+        table = precompute_cache(CovariateTable.continuous([[0.0], [1.0], [3.0]]))
         want = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-        assert np.array_equal(metric.pair_distances(*all_pairs(3))[0], want.ravel())
+        assert np.array_equal(table.pair_distances(*all_pairs(3))[0], want.ravel())
 
     @given(st.integers(0, 2**32 - 1))
     def test_exactly_symmetric_zero_diagonal(self, seed):
@@ -175,28 +181,52 @@ class TestPrecomputeCache:
 
     def test_pair_distance_matches_row_evaluation(self):
         rng = np.random.default_rng(7)
-        table = mixed_table(rng, 6)
-        metric = precompute_cache(table)
+        table = precompute_cache(mixed_table(rng, 6))
         w = rng.uniform(size=2)
         total = 0.0
-        for weight, dist in zip(w, metric.pair_distances([1], [4])):
+        for weight, dist in zip(w, table.pair_distances([1], [4])):
             total += weight * dist[0]
-        assert total == metric.row_distances(w, table.row(1))[4]
+        assert total == table.row_distances(w, table.row(1))[4]
 
     def test_no_pairs(self):
         none = np.empty(0, dtype=np.intp)
-        metric = precompute_cache(mixed_table(np.random.default_rng(0), 4))
-        assert metric.pair_distances(none, none).shape == (2, 0)
+        table = precompute_cache(mixed_table(np.random.default_rng(0), 4))
+        assert table.pair_distances(none, none).shape == (2, 0)
 
     def test_encoded_once_per_table(self):
         table = mixed_table(np.random.default_rng(1), 6)
-        metric = precompute_cache(table)
-        assert metric is table.metric
-        assert precompute_cache(table) is metric
+        assert precompute_cache(table) is table
+        encoding = vars(table)["encoding"]
+        table.pair_distances([0], [1])
+        table.row_distances(np.ones(2), table.row(0))
+        assert precompute_cache(table).encoding is encoding
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_subset_and_unseen_label_match_oracle(self, seed):
+        # a take() subset encodes its own labels; a query label the subset
+        # lacks, seen in the full table or nowhere, differs from every row
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        full = mixed_table(rng, n)
+        full.pair_distances([0], [0])  # the subset must not reuse this
+        table = full.take(rng.choice(n, size=int(rng.integers(1, n + 1))))
+        m = len(table)
+        mats = oracle_matrices(table)
+        assert np.array_equal(
+            table.pair_distances(*all_pairs(m)).reshape(2, m, m), mats
+        )
+        weights = rng.uniform(0.0, 2.0, size=2)
+        for label in ("a", "b", "c", "z"):
+            row = (float(rng.standard_normal()), label)
+            rows = [table.row(i) for i in range(m)] + [row]
+            want = covariate_distance_matrices(rows, table.kinds)
+            expect = weights[0] * want[0][m, :m]
+            expect += weights[1] * want[1][m, :m]
+            assert np.array_equal(table.row_distances(weights, row), expect)
 
     def test_tables_encode_nothing_until_used(self, tmp_path):
         table = mixed_table(np.random.default_rng(2), 5)
-        assert "metric" not in vars(table)
+        assert "encoding" not in vars(table)
         model = TrainedModel(
             factorization=Factorization(
                 loadings=np.ones((1, 5)), dictionary=np.ones((1, 1))
@@ -208,8 +238,9 @@ class TestPrecomputeCache:
             hyper=HyperParams(),
         )
         storage.save_model(tmp_path / "model.json", model)
+        assert "encoding" not in vars(table)
         loaded = storage.load_model(tmp_path / "model.json")
-        assert "metric" not in vars(loaded.train_covariates)
+        assert "encoding" not in vars(loaded.train_covariates)
 
 
 def sets_at(Z, radius):

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from persreg.metric import precompute_cache
 from persreg.model import CovariateTable, Dataset, Factorization, HyperParams
 from persreg.objective import (
     NumericalError,
@@ -12,6 +11,7 @@ from persreg.objective import (
     composite_objective,
     distance_match,
     resolve_pairs,
+    score_terms,
     sigmoid,
 )
 
@@ -35,7 +35,7 @@ def one_subgradient(x, y, coef, task):
 
 def step_objective(fact, weights, ds, hyper):
     """``composite_objective`` over the pairs a training step would use."""
-    _, pairs = resolve_pairs(fact.loadings, precompute_cache(ds.covariates), hyper)
+    _, pairs = resolve_pairs(fact.loadings, ds.covariates, hyper)
     return composite_objective(fact, weights, ds, hyper, pairs)
 
 
@@ -56,6 +56,40 @@ class TestSigmoid:
                 math.exp(zi) / (1.0 + math.exp(zi))
             )
             assert got[i] == pytest.approx(want, rel=1e-14)
+
+
+class TestScoreTerms:
+    """``score_terms`` against the separate loss and slope formulas, bit for
+    bit, signed zeros included."""
+
+    TINY = np.nextafter(0.0, 1.0)
+    Z = np.concatenate((
+        [-800.0, -40.0, -1.0, -0.0, 0.0, 1.0, 40.0, 800.0],
+        [TINY, -TINY, 1e-310, -1e-310],
+        np.random.default_rng(8).normal(scale=20.0, size=200),
+    ))
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_classification(self, label):
+        z, y = self.Z, np.full(len(self.Z), label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses, slopes = score_terms(z, y, "classification")
+        want = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
+        assert np.array_equal(self.bits(losses), self.bits(want))
+        assert np.array_equal(self.bits(slopes), self.bits(sigmoid(z) - y))
+
+    def test_regression(self):
+        z = self.Z
+        y = np.random.default_rng(9).normal(size=len(z))
+        y[:3] = (0.0, -0.0, 1.0)
+        losses, slopes = score_terms(z, y, "regression")
+        assert np.array_equal(self.bits(losses), self.bits((y - z) * (y - z)))
+        assert np.array_equal(self.bits(slopes), self.bits(-2.0 * (y - z)))
 
 
 class TestPredictiveLoss:
@@ -186,7 +220,7 @@ class TestL1Term:
 def two_sample_setup(z_values, u_values, radius=10.0):
     loadings = np.asarray(z_values, dtype=float)
     table = CovariateTable.continuous(np.asarray(u_values, dtype=float))
-    return loadings, pairs_within(loadings, radius, precompute_cache(table))
+    return loadings, pairs_within(loadings, radius, table)
 
 
 class TestDistanceMatchValues:
@@ -215,8 +249,8 @@ class TestDistanceMatchValues:
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(3)
         loadings = rng.standard_normal((2, 20))
-        metric = precompute_cache(CovariateTable.continuous(rng.uniform(size=(20, 3))))
-        pairs = pairs_within(loadings, 1.0, metric)
+        table = CovariateTable.continuous(rng.uniform(size=(20, 3)))
+        pairs = pairs_within(loadings, 1.0, table)
         got = distance_match(loadings, rng.uniform(size=3), pairs, 7.0)[0]
         assert np.all(got >= 0.0)
 
@@ -228,10 +262,8 @@ class TestDistanceMatchGradients:
             n = int(rng.integers(2, 30))
             q = int(rng.integers(1, 4))
             loadings = rng.standard_normal((q, n))
-            metric = precompute_cache(
-                CovariateTable.continuous(rng.uniform(size=(n, 2)))
-            )
-            pairs = pairs_within(loadings, float(rng.uniform(0.5, 4.0)), metric)
+            table = CovariateTable.continuous(rng.uniform(size=(n, 2)))
+            pairs = pairs_within(loadings, float(rng.uniform(0.5, 4.0)), table)
             gz, _ = distance_match(
                 loadings, rng.uniform(size=2), pairs, float(rng.uniform(0.5, 2))
             )[1:]
@@ -253,13 +285,12 @@ class TestDistanceMatchGradients:
             loadings = rng.standard_normal((q, n))
             weights = rng.uniform(0.5, 1.5, size=k)
             table = CovariateTable.continuous(rng.uniform(size=(n, k)))
-            metric = precompute_cache(table)
             # keep the radius away from every pairwise distance so the pairs
             # are locally constant under the finite-difference probes
             sq = pairwise_squared(loadings)
             vals = np.sort(sq[np.triu_indices(n, k=1)])
             radius = float(0.5 * (vals[len(vals) // 2] + vals[len(vals) // 2 + 1]))
-            pairs = pairs_within(loadings, radius, metric)
+            pairs = pairs_within(loadings, radius, table)
             strength = 2.5
 
             def total_from_loadings(flat):
@@ -324,13 +355,12 @@ class TestCompositeObjective:
             responses=y,
             covariates=CovariateTable.continuous(rng.uniform(size=(n, k))),
         )
-        metric = precompute_cache(ds.covariates)
         weights = rng.uniform(0.5, 1.5, size=k)
         hyper = HyperParams(
             l1=0.05, distance_match=1.2, weights_anchor=0.4, latent_dim=q, radius=2.0,
             target_neighbors=None,
         )
-        pairs = pairs_within(fact.loadings, 2.0, metric)
+        pairs = pairs_within(fact.loadings, 2.0, ds.covariates)
         bundle = composite_objective(fact, weights, ds, hyper, pairs)
 
         def value_of(loadings=None, dictionary=None, w=None):

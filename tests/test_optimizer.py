@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from persreg.metric import precompute_cache
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -126,7 +125,7 @@ class TestTrainStep:
             lr_init=1e-3, rate_floor=1e-2,
         )
         state = manual_state(z, d, pop)
-        out = train_step(state, ds, precompute_cache(ds.covariates), hyper)
+        out = train_step(state, ds, hyper)
 
         theta = d[0, 0] * z[0]
         g = -2.0 * (y - x * theta) * x
@@ -150,7 +149,7 @@ class TestTrainStep:
         )
         hyper = HyperParams(l1=0.0, distance_match=0.0, weights_anchor=0.0)
         state = manual_state(theta, np.eye(2), np.zeros(2))
-        out = train_step(state, ds, precompute_cache(ds.covariates), hyper)
+        out = train_step(state, ds, hyper)
         assert np.array_equal(out.factorization.loadings, theta)
         assert np.array_equal(out.factorization.dictionary, np.eye(2))
         assert np.array_equal(out.weights, np.ones(1))
@@ -160,13 +159,12 @@ class TestTrainStep:
         inst = generate(30, 2, 3, seed=11)
         ds = inst.train_dataset()
         hyper = HyperParams(max_iters=0)
-        metric = precompute_cache(ds.covariates)
         pop_cfg = ElasticNetConfig(l1=hyper.l1)
         from persreg.population import fit_population
 
         state = initialize(ds, hyper, fit_population(ds, pop_cfg), seed=11)
         for _ in range(40):
-            state = train_step(state, ds, metric, hyper)
+            state = train_step(state, ds, hyper)
             assert np.all(state.weights >= 0.0)
 
     def test_rate_schedule_is_exact(self):
@@ -320,3 +318,10 @@ class TestFit:
         )
         model = fit(clf, HyperParams(max_iters=20), seed=9)
         assert model.task == "classification"
+
+    def test_population_config_of_another_task_rejected(self):
+        # a squared-loss anchor for 0/1 labels is not stationary for the
+        # logistic loss that training uses
+        clf = small_dataset(np.random.default_rng(2), n=30, task="classification")
+        with pytest.raises(ValueError, match="fit_task 'regression'"):
+            fit(clf, HyperParams(max_iters=1), population_cfg=ElasticNetConfig(l1=0.01))

@@ -7,8 +7,7 @@ from persreg.model import CovariateTable, Dataset
 from persreg.population import (
     ElasticNetConfig,
     ElasticNetConvergenceError,
-    _smooth_gradient,
-    _smooth_value,
+    _smooth_terms,
     fit_population,
     stationarity_residual,
 )
@@ -81,7 +80,7 @@ class TestFitPopulation:
             y = (X @ np.array([1.5, -1.0]) > 0).astype(float)
         cfg = ElasticNetConfig(l1=0.05, l2=0.01, rel_tol=1e-9, fit_task=task)
         coef = fit_population(make_dataset(X, y, task), cfg)
-        grad = _smooth_gradient(X, np.asarray(y, float), coef, cfg.l2, task)
+        _, grad = _smooth_terms(X, np.asarray(y, float), coef, cfg.l2, task)
         assert stationarity_residual(coef, grad, cfg.l1) <= 1e-9
 
     def test_beats_coarse_grid_search(self):
@@ -93,13 +92,23 @@ class TestFitPopulation:
         coef = fit_population(ds, cfg)
 
         def objective(c):
-            return _smooth_value(X, y, c, cfg.l2, cfg.fit_task) + cfg.l1 * float(
+            return _smooth_terms(X, y, c, cfg.l2, cfg.fit_task)[0] + cfg.l1 * float(
                 np.sum(np.abs(c))
             )
 
         grid = np.arange(-2.0, 2.0001, 0.05)
         best = min(objective(np.array(point)) for point in itertools.product(grid, grid))
         assert objective(coef) <= best + cfg.rel_tol
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_fit_task_must_be_the_dataset_task(self, task):
+        X, y = orthogonal_design()
+        ds = make_dataset(X, (y > 0).astype(float), task)
+        other = "classification" if task == "regression" else "regression"
+        with pytest.raises(ValueError, match="does not match"):
+            fit_population(ds, ElasticNetConfig(l1=0.01, fit_task=other))
+        cfg = ElasticNetConfig(l1=0.01, fit_task=task)
+        assert np.all(np.isfinite(fit_population(ds, cfg)))
 
     def test_non_convergence_carries_iterate(self):
         rng = np.random.default_rng(3)
@@ -121,8 +130,8 @@ class TestFitPopulation:
                 else rng.integers(0, 2, 20).astype(float)
             )
             coef = rng.standard_normal(3)
-            got = _smooth_gradient(X, y, coef, 0.05, task)
+            _, got = _smooth_terms(X, y, coef, 0.05, task)
             want = central_difference(
-                lambda c: _smooth_value(X, y, c, 0.05, task), coef, 1e-6
+                lambda c: _smooth_terms(X, y, c, 0.05, task)[0], coef, 1e-6
             )
             assert relative_error(got, want) <= 1e-6
