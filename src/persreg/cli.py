@@ -1,5 +1,8 @@
 """Command-line entry point: simulate, train, predict, evaluate.
 
+Each command parses its arguments and wires library calls together; reading
+and writing files belong to ``storage`` and every score to ``simulate``.
+
 Exit codes: 0 on success, 2 for input or validation problems, 3 for
 numerical failures inside the solvers.
 """
@@ -12,11 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import storage
 from .model import (
-    CLASSIFICATION,
     INTEGER_HYPERS,
     REGRESSION,
     TASKS,
@@ -28,7 +28,7 @@ from .objective import NumericalError
 from .optimizer import fit
 from .population import ElasticNetConvergenceError
 from .predictor import predict_batch
-from .simulate import generate, r_squared
+from .simulate import generate, recovery_error, score_predictions
 
 HYPER_KEYS = tuple(field.name for field in dataclasses.fields(HyperParams))
 CONFIG_KEYS = HYPER_KEYS + ("task",)
@@ -98,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_simulate(args) -> int:
-    if args.n < 1 or args.p < 1 or args.k < 1:
-        raise ValueError("--n, --p and --k must all be >= 1")
     inst = generate(
         args.n,
         args.p,
@@ -161,14 +159,10 @@ def run_train(args) -> int:
     task = config.pop("task", None) or REGRESSION
     hyper = storage.hyper_from_dict(config)
     _, X = storage.read_matrix_csv(args.x)
-    _, Y = storage.read_matrix_csv(args.y)
-    if Y.shape[1] != 1:
-        raise ValueError("responses CSV must have exactly one column")
-    kinds = storage.read_schema(args.schema) if args.schema else None
-    table = storage.read_covariates_csv(args.u, kinds=kinds)
-    dataset = Dataset(
-        predictors=X, responses=Y[:, 0], covariates=table, task=task
-    )
+    y = storage.read_column_csv(args.y)
+    schema = storage.read_schema(args.schema) if args.schema else None
+    table = storage.read_covariates_csv(args.u, schema)
+    dataset = Dataset(predictors=X, responses=y, covariates=table, task=task)
 
     records = []
     tracing = args.trace or args.instrument
@@ -201,7 +195,8 @@ def run_predict(args) -> int:
             model, hyper=model.hyper.with_overrides(n_neighbors=args.n_neighbors)
         )
     _, X = storage.read_matrix_csv(args.x)
-    table = storage.read_covariates_csv(args.u, kinds=list(model.train_covariates.kinds))
+    covariates = model.train_covariates
+    table = storage.read_covariates_csv(args.u, (covariates.names, covariates.kinds))
     preds = predict_batch(model, X, [table.row(i) for i in range(len(table))])
 
     header = ["row_id", "y_hat", "neighbor_ids"]
@@ -217,79 +212,16 @@ def run_predict(args) -> int:
     return 0
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, each run of ties sharing the mean of its ranks."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
-def auroc_rank_sum(scores, labels) -> float:
-    """Area under the ROC curve via the rank-sum statistic (ties midranked)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    n_pos = int(np.sum(labels == 1.0))
-    n_neg = int(np.sum(labels == 0.0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUROC needs both classes present")
-    ranks = _midranks(scores)
-    pos_sum = float(np.sum(ranks[labels == 1.0]))
-    return (pos_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _read_predictions(path) -> np.ndarray:
-    header, rows, lines = storage.read_csv(path)
-    if "y_hat" not in header:
-        raise ValueError(f"{path}: missing y_hat column")
-    col = header.index("y_hat")
-    y_hat = []
-    for row, line in zip(rows, lines):
-        try:
-            y_hat.append(float(row[col]))
-        except ValueError:
-            raise ValueError(f"{path}:{line}: non-numeric y_hat") from None
-    y_hat = np.array(y_hat, dtype=float)
-    if not np.all(np.isfinite(y_hat)):
-        raise ValueError(f"{path}: non-finite y_hat")
-    return y_hat
-
-
 def run_evaluate(args) -> int:
-    y_hat = _read_predictions(args.predictions)
-    _, truth = storage.read_matrix_csv(args.responses)
-    if truth.shape[1] != 1:
-        raise ValueError("responses CSV must have exactly one column")
-    y_true = truth[:, 0]
-    if y_hat.shape[0] != y_true.shape[0]:
-        raise ValueError(
-            f"got {y_hat.shape[0]} predictions for {y_true.shape[0]} responses"
-        )
-
-    metrics: dict = {
-        "mse": float(np.mean((y_hat - y_true) ** 2)) if y_true.size else 0.0
-    }
-    metrics["r2"], degenerate = r_squared(y_hat, y_true)
-    if degenerate:
-        metrics["r2_degenerate"] = True
-
-    if args.task == CLASSIFICATION:
-        if not np.all(np.isin(y_true, (0.0, 1.0))):
-            raise ValueError("classification truth must be 0/1")
-        metrics["auroc"] = auroc_rank_sum(y_hat, y_true)
-        metrics["accuracy"] = float(np.mean((y_hat >= 0.5) == (y_true == 1.0)))
-
+    y_hat = storage.read_column_csv(args.predictions, "y_hat")
+    y_true = storage.read_column_csv(args.responses)
+    metrics = score_predictions(y_hat, y_true, args.task)
     if args.omega_true:
         if not args.model:
             raise ValueError("--omega-true requires --model for the estimate")
-        model = storage.load_model(args.model)
+        estimated = coefficient_matrix(storage.load_model(args.model).factorization)
         _, omega_rows = storage.read_matrix_csv(args.omega_true)
-        estimated = coefficient_matrix(model.factorization)
-        if omega_rows.T.shape != estimated.shape:
-            raise ValueError(
-                f"true coefficients {omega_rows.T.shape} do not match the "
-                f"model's {estimated.shape}"
-            )
-        metrics["recovery"] = float(np.linalg.norm(estimated - omega_rows.T))
-
+        metrics["recovery"] = recovery_error(estimated, omega_rows.T)
     storage.dump_json(args.out, metrics)
     return 0
 

@@ -1,5 +1,6 @@
-"""Synthetic data with known per-sample coefficients, plus the recovery and
-prediction metrics used to score estimators against the ground truth.
+"""Synthetic data with known per-sample coefficients, plus every score of
+an estimator: coefficient recovery against the ground truth, and the
+regression and classification scores of its predictions.
 
 Each coefficient follows a threshold-plus-sine function of one uniformly
 chosen covariate, which makes the true coefficient surface discontinuous in
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CovariateTable, Dataset, REGRESSION
+from .model import (
+    CLASSIFICATION,
+    REGRESSION,
+    CovariateTable,
+    Dataset,
+    validate_task,
+)
 
 NOISE_STD = 0.1
 TRAIN_FRACTION = 0.8
@@ -107,40 +114,68 @@ class RecoveryMetrics:
     r2_degenerate: bool = False
 
 
-def r_squared(y_pred, y_true) -> tuple:
-    """Squared Pearson correlation of predictions and responses, and
-    whether it is degenerate.
+def auroc_rank_sum(scores, labels) -> float:
+    """Area under the ROC curve via the rank-sum statistic; each run of tied
+    scores shares the mean of its 1-based ranks."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n_pos = int(np.sum(labels == 1.0))
+    n_neg = int(np.sum(labels == 0.0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUROC needs both classes present")
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    pos_sum = float(np.sum(ranks[labels == 1.0]))
+    return (pos_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-    Fewer than two values, or a constant vector, leave the correlation
-    undefined; that case gives (0.0, True).
-    """
+
+def score_predictions(y_pred, y_true, task=REGRESSION) -> dict:
+    """``mse`` and squared-Pearson ``r2`` of predictions against responses,
+    with ``r2_degenerate`` only when R^2 is undefined (reported as 0).  A
+    classification task adds ``auroc`` and ``accuracy`` at threshold 0.5
+    and requires 0/1 responses."""
+    y_pred = np.asarray(y_pred, dtype=float)
+    y_true = np.asarray(y_true, dtype=float)
+    if y_pred.shape != y_true.shape:
+        raise ValueError(
+            f"predictions of shape {y_pred.shape} do not match responses of "
+            f"shape {y_true.shape}"
+        )
+    scores: dict = {
+        "mse": float(np.mean((y_pred - y_true) ** 2)) if y_true.size else 0.0
+    }
+    # fewer than two values, or a constant vector, leave R^2 undefined
     if y_pred.size < 2 or float(np.std(y_pred)) == 0.0 or float(np.std(y_true)) == 0.0:
-        return 0.0, True
-    corr = float(np.corrcoef(y_pred, y_true)[0, 1])
-    return corr * corr, False
+        scores["r2"], scores["r2_degenerate"] = 0.0, True
+    else:
+        corr = float(np.corrcoef(y_pred, y_true)[0, 1])
+        scores["r2"] = corr * corr
+    if validate_task(task) == CLASSIFICATION:
+        if not np.all(np.isin(y_true, (0.0, 1.0))):
+            raise ValueError("classification truth must be 0/1")
+        scores["auroc"] = auroc_rank_sum(y_pred, y_true)
+        scores["accuracy"] = float(np.mean((y_pred >= 0.5) == (y_true == 1.0)))
+    return scores
 
 
-def evaluate_recovery(estimated, true, y_pred, y_true) -> RecoveryMetrics:
-    """Frobenius recovery error plus squared-Pearson R^2 and MSE.
-
-    A constant prediction or response vector leaves the correlation
-    undefined; that case reports R^2 = 0 and sets the degenerate flag.
-    """
+def recovery_error(estimated, true) -> float:
+    """Frobenius norm of the difference of two coefficient matrices."""
     estimated = np.asarray(estimated, dtype=float)
     true = np.asarray(true, dtype=float)
     if estimated.shape != true.shape:
         raise ValueError(
             f"coefficient matrices must match, got {estimated.shape} vs {true.shape}"
         )
-    y_pred = np.asarray(y_pred, dtype=float)
-    y_true = np.asarray(y_true, dtype=float)
-    if y_pred.shape != y_true.shape:
-        raise ValueError("prediction and truth vectors must match")
+    return float(np.linalg.norm(estimated - true))
 
-    recovery = float(np.linalg.norm(estimated - true))
-    mse = float(np.mean((y_pred - y_true) ** 2)) if y_pred.size else 0.0
 
-    r2, degenerate = r_squared(y_pred, y_true)
+def evaluate_recovery(estimated, true, y_pred, y_true) -> RecoveryMetrics:
+    """``recovery_error`` plus the regression scores of ``score_predictions``."""
+    recovery = recovery_error(estimated, true)
+    scores = score_predictions(y_pred, y_true)
     return RecoveryMetrics(
-        recovery=recovery, r2=r2, mse=mse, r2_degenerate=degenerate
+        recovery=recovery,
+        r2=scores["r2"],
+        mse=scores["mse"],
+        r2_degenerate=scores.get("r2_degenerate", False),
     )

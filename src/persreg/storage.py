@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import secrets
 import stat
@@ -52,8 +53,11 @@ def _write_atomic(path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows of cells; a float cell is written as its
-    repr, the shortest text that parses back to the same number."""
+    """Write a header and a list of rows of cells; a float cell is written
+    as its repr, the shortest text that parses back to the same number.  A
+    NaN or infinity raises before any file is opened."""
+    if not all(math.isfinite(c) for row in rows for c in row if isinstance(c, float)):
+        raise ValueError(f"{path}: refusing to write a non-finite value")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -91,24 +95,39 @@ def write_matrix_csv(path, matrix, header) -> None:
     write_csv(path, header, matrix.tolist())
 
 
-def read_matrix_csv(path) -> tuple:
-    """Returns (header, float matrix with one row per data line).
-
-    Cells must be finite numbers: ``nan`` and ``inf`` parse as floats but
-    are rejected like any other malformed cell.
-    """
-    header, rows, lines = read_csv(path)
+def _float_cells(path, rows, lines, width) -> np.ndarray:
+    """Rows of cells as a (len(rows), width) float matrix.  Cells must be
+    finite numbers: ``nan`` and ``inf`` parse as floats but are rejected,
+    like any other malformed cell, with the ``path:line`` of their row."""
     values = []
     for row, line in zip(rows, lines):
         try:
             values.append([float(v) for v in row])
         except ValueError:
             raise ValueError(f"{path}:{line}: non-numeric cell") from None
-    matrix = np.asarray(values, dtype=float) if values else np.empty((0, len(header)))
+    matrix = np.asarray(values, dtype=float) if values else np.empty((0, width))
     if not np.all(np.isfinite(matrix)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))[0])
         raise ValueError(f"{path}:{lines[bad]}: non-finite cell")
-    return header, matrix
+    return matrix
+
+
+def read_matrix_csv(path) -> tuple:
+    """Returns (header, float matrix with one row per data line)."""
+    header, rows, lines = read_csv(path)
+    return header, _float_cells(path, rows, lines, len(header))
+
+
+def read_column_csv(path, name=None) -> np.ndarray:
+    """The float column ``name``, or the file's only column when no name is
+    given; its cells are checked as ``read_matrix_csv`` checks them."""
+    header, rows, lines = read_csv(path)
+    if name is None and len(header) != 1:
+        raise ValueError(f"{path}: expected one column, found {len(header)}")
+    if name is not None and name not in header:
+        raise ValueError(f"{path}: missing {name} column")
+    col = 0 if name is None else header.index(name)
+    return _float_cells(path, [[row[col]] for row in rows], lines, 1)[:, 0]
 
 
 def _covariate_rows(table: CovariateTable) -> list:
@@ -125,17 +144,26 @@ def write_covariates_csv(path, table: CovariateTable) -> None:
     write_csv(path, table.names, _covariate_rows(table))
 
 
-def read_covariates_csv(path, kinds=None) -> CovariateTable:
-    """Read a covariate table; without an explicit schema, columns that parse
-    as numbers become continuous and the rest categorical."""
+def _columns(rows, width) -> list:
+    """Rows of cells as ``width`` columns, also when there are no rows."""
+    return list(zip(*rows)) if rows else [() for _ in range(width)]
+
+
+def read_covariates_csv(path, schema=None) -> CovariateTable:
+    """Read a covariate table.  A schema ``(names, kinds)`` must name the
+    header's columns in order; without one, columns that parse as numbers
+    become continuous and the rest categorical."""
     names, rows, _ = read_csv(path)
-    if kinds is None:
+    if schema is None:
         kinds = [None] * len(names)
-    elif len(kinds) != len(names):
-        raise ValueError("schema does not cover every covariate column")
-    columns = list(zip(*rows)) if rows else [() for _ in names]
+    else:
+        expected, kinds = schema
+        if list(expected) != names:
+            raise ValueError(
+                f"{path}: header {names} does not match the covariates {list(expected)}"
+            )
     parsed, found = [], []
-    for name, col, kind in zip(names, columns, kinds):
+    for name, col, kind in zip(names, _columns(rows, len(names)), kinds):
         if kind is None or kind == CONTINUOUS:
             try:
                 col, kind = [float(v) for v in col], CONTINUOUS
@@ -149,16 +177,15 @@ def read_covariates_csv(path, kinds=None) -> CovariateTable:
     return CovariateTable.from_columns(parsed, found, names)
 
 
-def read_schema(path) -> list:
+def read_schema(path) -> tuple:
+    """Returns (names, kinds) of the schema's covariate columns, in order."""
     data = load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("columns"), list):
         raise ValueError(f"{path}: schema must be an object with a 'columns' list")
-    kinds = []
-    for entry in data["columns"]:
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ValueError(f"{path}: each schema column needs a 'kind'")
-        kinds.append(entry["kind"])
-    return kinds
+    entries = data["columns"]
+    if not all(isinstance(e, dict) and {"name", "kind"} <= e.keys() for e in entries):
+        raise ValueError(f"{path}: each schema column needs a 'name' and a 'kind'")
+    return [e["name"] for e in entries], [e["kind"] for e in entries]
 
 
 def dump_json(path, obj) -> None:
@@ -202,8 +229,7 @@ def model_from_dict(data: dict) -> TrainedModel:
     try:
         cov = data["covariates"]
         names, kinds, rows = cov["names"], cov["kinds"], cov["rows"]
-        columns = list(zip(*rows)) if rows else [() for _ in names]
-        table = CovariateTable.from_columns(columns, kinds, names)
+        table = CovariateTable.from_columns(_columns(rows, len(names)), kinds, names)
         fact = Factorization(
             loadings=np.asarray(data["loadings"], dtype=float),
             dictionary=np.asarray(data["dictionary"], dtype=float),

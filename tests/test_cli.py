@@ -8,9 +8,11 @@ import pytest
 import scipy.stats
 
 from persreg import storage
-from persreg.cli import auroc_rank_sum, main
-from persreg.model import CovariateTable, Dataset, HyperParams
+from persreg.cli import main
+from persreg.model import CovariateTable, Dataset, HyperParams, coefficient_matrix
 from persreg.optimizer import fit
+from persreg.predictor import predict_batch
+from persreg.simulate import auroc_rank_sum, recovery_error, score_predictions
 
 
 def run_cli(*args):
@@ -46,6 +48,7 @@ class TestSimulate:
         assert run_cli(
             "simulate", "--n", 0, "--p", 2, "--k", 3, "--seed", 1, "--out", tmp_path / "x"
         ) == 2
+        assert not (tmp_path / "x").exists()
 
 
 def train_args(sim_dir, out, *extra):
@@ -128,6 +131,31 @@ class TestTrain:
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"columns": 3}))
         assert run_cli(*train_args(sim_dir, tmp_path / "f", "--schema", schema)) == 2
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[{"name": "u1", "kind": "continuous"}, {"name": "u0", "kind": "categorical"},
+          {"name": "u2", "kind": "continuous"}],
+         [{"name": "u0", "kind": "continuous"}, {"kind": "categorical"},
+          {"name": "u2", "kind": "continuous"}]],
+        ids=["out-of-order", "entry-without-name"],
+    )
+    def test_schema_must_name_the_header_in_order(self, sim_dir, tmp_path, columns):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": columns}))
+        out = tmp_path / "f"
+        assert run_cli(*train_args(sim_dir, out, "--schema", schema)) == 2
+        assert not out.exists()
+
+    def test_schema_sets_the_kinds(self, sim_dir, tmp_path):
+        schema = tmp_path / "schema.json"
+        kinds = ["continuous", "categorical", "continuous"]
+        schema.write_text(json.dumps(
+            {"columns": [{"name": f"u{i}", "kind": k} for i, k in enumerate(kinds)]}))
+        out = tmp_path / "f"
+        assert run_cli(*train_args(sim_dir, out, "--schema", schema, "--max-iters", 2)) == 0
+        model = storage.load_model(out / "model.json")
+        assert model.train_covariates.kinds == tuple(kinds)
 
     def test_config_merged_under_flags(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -268,6 +296,53 @@ class TestPredict:
             "--u", narrow, "--out", tmp_path / "p.csv",
         )
         assert code == 2
+
+    def test_swapped_covariate_columns_is_input_error(self, fitted, tmp_path):
+        model = storage.load_model(fitted / "model.json")
+        table = model.train_covariates.take([0, 1])
+        swapped = CovariateTable.from_columns(
+            [table.columns[1], table.columns[0], table.columns[2]], table.kinds,
+            ["u1", "u0", "u2"])
+        test_u = tmp_path / "tu.csv"
+        storage.write_covariates_csv(test_u, swapped)
+        test_x = tmp_path / "tx.csv"
+        test_x.write_text("x0,x1\n0.5,0.25\n0.1,0.2\n")
+        out = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--model", fitted / "model.json", "--x", test_x,
+            "--u", test_u, "--out", out,
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_prediction_is_input_error(self, sim_dir, tmp_path):
+        # responses scaled up give coefficients whose l1 norm exceeds one
+        _, Y = storage.read_matrix_csv(sim_dir / "Y.csv")
+        scaled = tmp_path / "y4.csv"
+        storage.write_matrix_csv(scaled, 4.0 * Y, ["y"])
+        fitted = tmp_path / "fit"
+        assert run_cli(
+            "train", "--x", sim_dir / "X.csv", "--y", scaled, "--u", sim_dir / "U.csv",
+            "--out", fitted, "--seed", 5, "--max-iters", 5,
+        ) == 0
+        model = storage.load_model(fitted / "model.json")
+        huge = np.array([[1.79e308, 1.79e308], [1.79e308, -1.79e308]])
+        rows = model.train_covariates.take([0, 0])
+        # the inputs are finite, but the product with the coefficients is not
+        preds = predict_batch(model, huge, [rows.row(i) for i in range(2)])
+        assert not all(np.isfinite(p.y_hat) for p in preds)
+        test_x = tmp_path / "tx.csv"
+        test_u = tmp_path / "tu.csv"
+        storage.write_matrix_csv(test_x, huge, ["x0", "x1"])
+        storage.write_covariates_csv(test_u, rows)
+        out = tmp_path / "pred.csv"
+        code = run_cli(
+            "predict", "--model", fitted / "model.json", "--x", test_x,
+            "--u", test_u, "--out", out,
+        )
+        assert code == 2
+        assert not out.exists()
 
 
 class TestClassificationPipeline:
@@ -414,6 +489,46 @@ class TestEvaluate:
         assert meta["n"] == 60
 
 
+class TestEvaluateUsesTheLibraryScores:
+    def test_regression_with_recovery(self, sim_dir, fitted, tmp_path):
+        pred = tmp_path / "pred.csv"
+        assert run_cli(
+            "predict", "--model", fitted / "model.json", "--x", sim_dir / "X.csv",
+            "--u", sim_dir / "U.csv", "--out", pred,
+        ) == 0
+        out = tmp_path / "m.json"
+        assert run_cli(
+            "evaluate", "--predictions", pred, "--responses", sim_dir / "Y.csv",
+            "--out", out, "--omega-true", sim_dir / "omega_true.csv",
+            "--model", fitted / "model.json",
+        ) == 0
+        model = storage.load_model(fitted / "model.json")
+        _, omega = storage.read_matrix_csv(sim_dir / "omega_true.csv")
+        want = score_predictions(storage.read_column_csv(pred, "y_hat"),
+                                 storage.read_column_csv(sim_dir / "Y.csv"))
+        want["recovery"] = recovery_error(
+            coefficient_matrix(model.factorization), omega.T)
+        assert storage.load_json(out) == want
+
+    def test_classification(self, tmp_path):
+        rng = np.random.default_rng(2)
+        y_hat = rng.uniform(size=40)
+        y = (rng.uniform(size=40) < y_hat).astype(float)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("row_id,y_hat,neighbor_ids\n" + "".join(
+            f"{i},{v!r},0\n" for i, v in enumerate(y_hat.tolist())))
+        truth = tmp_path / "y.csv"
+        storage.write_matrix_csv(truth, y, ["y"])
+        out = tmp_path / "m.json"
+        assert run_cli(
+            "evaluate", "--predictions", pred, "--responses", truth,
+            "--out", out, "--task", "classification",
+        ) == 0
+        want = score_predictions(y_hat, y, "classification")
+        assert set(want) == {"mse", "r2", "auroc", "accuracy"}
+        assert storage.load_json(out) == want
+
+
 def test_json_output_rejects_non_finite(tmp_path):
     path = tmp_path / "m.json"
     with pytest.raises(ValueError):
@@ -480,13 +595,14 @@ def test_covariate_schema_is_checked_against_the_columns(tmp_path, kinds, messag
     path = tmp_path / "u.csv"
     path.write_text("u0,u1\n1.5,a\n")
     with pytest.raises(ValueError, match=message):
-        storage.read_covariates_csv(path, kinds=kinds)
+        storage.read_covariates_csv(path, (["u0", "u1"], kinds))
 
 
 @pytest.fixture(params=["json", "matrix", "covariates", "trace", "predict"])
 def writer(request, tmp_path):
     """A function ``write(path, version)`` through one artifact writer; each
-    version writes different bytes."""
+    integer version writes different bytes, and the version NaN asks the
+    writer for a non-finite value."""
     kind = request.param
     if kind == "json":
         return lambda path, v: storage.dump_json(path, {"a": v})
@@ -496,24 +612,30 @@ def writer(request, tmp_path):
         return lambda path, v: storage.write_covariates_csv(
             path, CovariateTable.continuous([[float(v)]]))
     if kind == "trace":
-        return lambda path, v: storage.write_trace_jsonl(path, [{"a": v}] * v)
+        return lambda path, v: storage.write_trace_jsonl(path, [{"a": v}])
 
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     rng = np.random.default_rng(0)
     X, U = rng.normal(size=(8, 2)), rng.normal(size=(8, 1))
-    ds = Dataset(predictors=X, responses=X[:, 0], covariates=CovariateTable.continuous(U))
+    # responses 4 x0 give a coefficient near 4, so x0 = 1e308 overflows
+    ds = Dataset(predictors=X, responses=4.0 * X[:, 0],
+                 covariates=CovariateTable.continuous(U))
     storage.save_model(inputs / "model.json", fit(ds, HyperParams(max_iters=0), seed=0))
     storage.write_matrix_csv(inputs / "X.csv", X, ["x0", "x1"])
+    storage.write_matrix_csv(inputs / "huge.csv", np.full((8, 2), [1e308, 0.0]),
+                             ["x0", "x1"])
     storage.write_matrix_csv(inputs / "U.csv", U, ["u0"])
 
     def predict(path, v):
         # main() turns an OSError into exit 2 and an "error:" line on stderr
+        x, k = ("huge.csv", 1) if np.isnan(v) else ("X.csv", v)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             code = run_cli(
-                "predict", "--model", inputs / "model.json", "--x", inputs / "X.csv",
-                "--u", inputs / "U.csv", "--out", path, "--n-neighbors", v,
+                "predict", "--model", inputs / "model.json", "--x", inputs / x,
+                "--u", inputs / "U.csv", "--out", path, "--n-neighbors", k,
             )
         if code:
             raise OSError(err.getvalue())
@@ -535,6 +657,18 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     monkeypatch.setattr(storage.os, "replace", replace_fails)
     with pytest.raises(OSError, match="disk full"):
         writer(path, 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["artifact"]
+
+
+def test_non_finite_value_keeps_the_old_file(tmp_path, writer):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "artifact"
+    writer(path, 1)
+    before = path.read_bytes()
+    with pytest.raises((ValueError, OSError), match="non-finite|Out of range float"):
+        writer(path, float("nan"))
     assert path.read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["artifact"]
 

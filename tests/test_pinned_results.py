@@ -1,8 +1,9 @@
-"""Seeded fits pinned to the bytes of their results.
+"""Seeded fits and CLI pipelines pinned to the bytes of their results.
 
-Speed work must not change what a seeded fit produces.  Each case hashes
-(sha256) the serialized model together with the per-iteration trace
-records of one small fit.  The hashes were recorded with numpy 2.4.6 and
+Speed work must not change what a seeded fit produces.  Each fit case
+hashes (sha256) the serialized model together with the per-iteration trace
+records of one small fit; each pipeline case hashes every file that one
+small seeded run of the command-line tools leaves behind.  The hashes were recorded with numpy 2.4.6 and
 Python 3.11 on x86-64 Linux; another numpy build or BLAS may round the
 SVD or the matrix products differently, and then every hash moves at once.
 A change that moves only some of them changed the arithmetic.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import persreg as pr
-from persreg import storage
+from persreg import cli, storage
 from persreg.model import (
     CATEGORICAL,
     CLASSIFICATION,
@@ -79,3 +80,84 @@ def test_seeded_fit_bytes_are_pinned(name):
     assert not np.array_equal(model.factorization.loadings,
                               start.factorization.loadings)
     assert digest == want
+
+
+def _run(*args):
+    assert cli.main([str(a) for a in args]) == 0
+
+
+def _regression_pipeline(d):
+    """simulate, an instrumented train, predict with the coefficients, and
+    evaluate against the true coefficients."""
+    _run("simulate", "--n", 40, "--p", 2, "--k", 3, "--seed", 11,
+         "--out", d, "--normalize-rows")
+    _run("train", "--x", d / "X.csv", "--y", d / "Y.csv", "--u", d / "U.csv",
+         "--out", d / "fit", "--seed", 2, "--max-iters", 15, "--instrument")
+    _run("predict", "--model", d / "fit" / "model.json", "--x", d / "X.csv",
+         "--u", d / "U.csv", "--out", d / "predictions.csv",
+         "--include-theta", "--n-neighbors", 5)
+    _run("evaluate", "--predictions", d / "predictions.csv",
+         "--responses", d / "Y.csv", "--out", d / "metrics.json",
+         "--omega-true", d / "omega_true.csv", "--model", d / "fit" / "model.json")
+
+
+def _classification_pipeline(d):
+    """A schema-typed mixed-covariate classification train, then predict on
+    test rows that hold a label unseen in training, then evaluate."""
+    inst = pr.generate(60, 2, 3, seed=13)
+    ds = inst.dataset
+    labels = np.array([f"q{int(v * 3)}".replace("q1", "q,1")
+                       for v in ds.covariates.columns[2]], dtype=object)
+    y = (ds.responses > np.median(ds.responses)).astype(float)
+    for part, rows in (("train", inst.train_rows), ("test", inst.test_rows)):
+        cols = [ds.covariates.columns[0][rows], ds.covariates.columns[1][rows],
+                labels[rows]]
+        if part == "test":
+            cols[2][0] = "q9"
+        table = CovariateTable.from_columns(
+            cols, [CONTINUOUS, CONTINUOUS, CATEGORICAL], ["u0", "u1", "u2"])
+        storage.write_matrix_csv(d / f"X_{part}.csv", ds.predictors[rows], ["x0", "x1"])
+        storage.write_matrix_csv(d / f"y_{part}.csv", y[rows], ["y"])
+        storage.write_covariates_csv(d / f"U_{part}.csv", table)
+    (d / "schema.json").write_text(json.dumps({"columns": [
+        {"name": "u0", "kind": CONTINUOUS},
+        {"name": "u1", "kind": CONTINUOUS},
+        {"name": "u2", "kind": CATEGORICAL},
+    ]}))
+    _run("train", "--x", d / "X_train.csv", "--y", d / "y_train.csv",
+         "--u", d / "U_train.csv", "--schema", d / "schema.json",
+         "--out", d / "fit", "--seed", 4, "--task", "classification",
+         "--max-iters", 15, "--trace")
+    _run("predict", "--model", d / "fit" / "model.json", "--x", d / "X_test.csv",
+         "--u", d / "U_test.csv", "--out", d / "predictions.csv")
+    _run("evaluate", "--predictions", d / "predictions.csv",
+         "--responses", d / "y_test.csv", "--out", d / "metrics.json",
+         "--task", "classification")
+
+
+PIPELINES = {
+    "regression": (
+        _regression_pipeline,
+        "886a520e7c461e2a1c33204a9fca7bffafff5e6dfa8bba4b5efb59dd008fa173",
+    ),
+    "mixed-classification": (
+        _classification_pipeline,
+        "d31cd75ed94ae8884aa213824af95bb48d9fe73e254dedec3c1ab235e7b3e178",
+    ),
+}
+
+
+def directory_digest(root):
+    """sha256 over the relative path and the bytes of every file below root."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_seeded_cli_pipeline_bytes_are_pinned(name, tmp_path):
+    run, want = PIPELINES[name]
+    run(tmp_path)
+    assert directory_digest(tmp_path) == want

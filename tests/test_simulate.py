@@ -3,7 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from persreg.simulate import evaluate_recovery, generate
+from persreg.simulate import (
+    evaluate_recovery,
+    generate,
+    recovery_error,
+    score_predictions,
+)
 
 
 class TestGenerate:
@@ -98,3 +103,42 @@ class TestEvaluateRecovery:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_recovery(np.zeros((2, 2)), np.zeros((2, 3)), [1.0], [1.0])
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_fields_are_the_shared_scores(self, constant):
+        rng = np.random.default_rng(4)
+        est, true = rng.normal(size=(3, 20)), rng.normal(size=(3, 20))
+        y_pred, y_true = rng.normal(size=20), rng.normal(size=20)
+        if constant:
+            y_pred[:] = 0.5
+        m = evaluate_recovery(est, true, y_pred, y_true)
+        scores = score_predictions(y_pred, y_true)
+        assert m.recovery == recovery_error(est, true)
+        assert m.r2 == scores["r2"] and m.mse == scores["mse"]
+        assert m.r2_degenerate is scores.get("r2_degenerate", False) is constant
+
+
+class TestScorePredictions:
+    def test_keys_by_task(self):
+        y_pred, y_true = [0.2, 0.9, 0.6, 0.1], [0.0, 1.0, 1.0, 0.0]
+        assert set(score_predictions(y_pred, y_true)) == {"mse", "r2"}
+        scores = score_predictions(y_pred, y_true, "classification")
+        assert set(scores) == {"mse", "r2", "auroc", "accuracy"}
+        assert scores["auroc"] == 1.0 and scores["accuracy"] == 1.0
+        assert set(score_predictions([1.0, 1.0], [0.0, 1.0])) == {
+            "mse", "r2", "r2_degenerate"}
+
+    @pytest.mark.parametrize(
+        "y_pred, y_true, task",
+        [([0.1, 0.2], [0.0], "regression"),
+         ([0.1, 0.2], [0.0, 2.0], "classification"),
+         ([0.1, 0.2], [0.0, 1.0], "ranking")],
+        ids=["length", "non-binary-truth", "unknown-task"],
+    )
+    def test_bad_input_rejected(self, y_pred, y_true, task):
+        with pytest.raises(ValueError):
+            score_predictions(y_pred, y_true, task)
+
+    def test_recovery_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="must match"):
+            recovery_error(np.zeros((2, 2)), np.zeros((2, 3)))
