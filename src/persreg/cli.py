@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,10 @@ HYPER_KEYS = tuple(field.name for field in dataclasses.fields(HyperParams))
 CONFIG_KEYS = HYPER_KEYS + ("task",)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond per call."""
     parser = argparse.ArgumentParser(
         prog="persreg",
         description="Per-sample linear and logistic models with a learned "

@@ -5,7 +5,8 @@ The covariate distances read the table in an encoded form, built once per
 table on the first distance query: continuous columns as float64, each
 categorical column as integer codes.  Training reads per-covariate distances
 only at the neighbor pairs of each step, and prediction only from one row to
-every sample, so no pairwise matrix over the covariates is ever built.
+the samples of its label group (``TrainedModel.label_partition``) or to every
+sample, so no pairwise matrix over the covariates is ever built.
 
 Per-sample coefficient vectors are never stored as a dense p x n matrix on
 their own.  They are always derived from a shared dictionary (q x p) and
@@ -142,16 +143,24 @@ class CovariateTable:
                 np.not_equal(vals[i_idx], vals[j_idx], out=dist)
         return out
 
-    def row_distances(self, weights, row) -> np.ndarray:
-        """Learned distance from one covariate row to every row of the table:
-        the per-covariate distances times ``weights``, added column by
-        column.  ``row`` follows the schema (``validate_row``); a label the
-        table lacks gets code -1, so it differs from every row."""
+    def row_distances(self, weights, row, rows=None) -> np.ndarray:
+        """Learned distance from one covariate row to every row of the table,
+        or to the table rows ``rows`` in their order: the per-covariate
+        distances times ``weights``, added column by column.  A zero-weight
+        column is skipped, as its term is +0.0 on finite values, so a huge
+        value there cannot make an ``inf * 0`` NaN.  ``row`` follows the
+        schema (``validate_row``); a label the table lacks gets code -1, so
+        it differs from every row."""
         if not len(weights) == len(row) == self.width:
             raise ValueError("weights and row must cover every covariate")
-        dists = np.zeros(len(self), dtype=float)
-        per = np.empty(len(self), dtype=float)
+        n = len(self) if rows is None else len(rows)
+        dists = np.zeros(n, dtype=float)
+        per = np.empty(n, dtype=float)
         for w, (vals, codebook), value in zip(weights, self.encoding, row):
+            if w == 0.0:
+                continue
+            if rows is not None:
+                vals = vals[rows]
             if codebook is None:
                 np.subtract(vals, value, out=per)
                 np.abs(per, out=per)
@@ -389,6 +398,25 @@ INTEGER_HYPERS = tuple(name for name, hint in _HYPER_HINTS.items() if hint is in
 
 
 @dataclass(frozen=True)
+class LabelPartition:
+    """Training rows grouped by their codes on the positive-weight
+    categorical covariates ``columns``: ``groups`` maps a tuple of codes to
+    its rows in ascending index order.
+
+    Two rows of different groups differ on one of those covariates, so
+    their distance is at least ``min_weight``.  Within a group the keyed
+    covariates add exactly zero, so ``weights`` (the model's, with the keyed
+    covariates zeroed) gives the same distances there while reading fewer
+    columns.
+    """
+
+    columns: tuple
+    groups: dict
+    min_weight: float
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class TrainedModel:
     """Everything needed at prediction time.
 
@@ -423,6 +451,34 @@ class TrainedModel:
         validate_task(self.task)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "population_coef", pop)
+
+    @cached_property
+    def label_partition(self) -> LabelPartition | None:
+        """The training rows grouped by their labels on the positive-weight
+        categorical covariates; None when there is no such covariate.  Built
+        on the first prediction and kept for the model's lifetime."""
+        table = self.train_covariates
+        keyed = tuple(
+            c for c, ((_, codebook), w) in enumerate(zip(table.encoding, self.weights))
+            if codebook is not None and w > 0.0
+        )
+        if not keyed:
+            return None
+        codes = np.stack([table.encoding[c][0] for c in keyed], axis=1)
+        keys, group = np.unique(codes, axis=0, return_inverse=True)
+        group = group.ravel()
+        # a stable sort keeps each group's rows in ascending index order
+        order = np.argsort(group, kind="stable")
+        bounds = np.cumsum(np.bincount(group))[:-1]
+        weights = self.weights.copy()
+        weights[list(keyed)] = 0.0
+        weights.setflags(write=False)
+        return LabelPartition(
+            columns=keyed,
+            groups=dict(zip(map(tuple, keys.tolist()), np.split(order, bounds))),
+            min_weight=float(self.weights[list(keyed)].min()),
+            weights=weights,
+        )
 
     @property
     def n_train(self) -> int:

@@ -315,8 +315,7 @@ class TestPredict:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflowing_prediction_is_input_error(self, sim_dir, tmp_path):
+    def test_overflowing_prediction_is_input_error(self, sim_dir, tmp_path, capsys):
         # responses scaled up give coefficients whose l1 norm exceeds one
         _, Y = storage.read_matrix_csv(sim_dir / "Y.csv")
         scaled = tmp_path / "y4.csv"
@@ -337,12 +336,19 @@ class TestPredict:
         storage.write_matrix_csv(test_x, huge, ["x0", "x1"])
         storage.write_covariates_csv(test_u, rows)
         out = tmp_path / "pred.csv"
-        code = run_cli(
-            "predict", "--model", fitted / "model.json", "--x", test_x,
-            "--u", test_u, "--out", out,
-        )
+        capsys.readouterr()
+        # the overflow is refused once, with no numpy warning before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "predict", "--model", fitted / "model.json", "--x", test_x,
+                "--u", test_u, "--out", out,
+            )
         assert code == 2
         assert not out.exists()
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestClassificationPipeline:

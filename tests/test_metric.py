@@ -100,6 +100,24 @@ class TestWeightedDistance:
         table = CovariateTable.continuous([[-5.0]])
         assert np.array_equal(table.row_distances(np.zeros(1), (3.0,)), [0.0])
 
+    def test_zero_weight_column_is_skipped(self):
+        # the huge column's differences overflow to inf, and inf * 0 is NaN
+        table = CovariateTable.continuous([[0.0, 1.7e308], [0.5, -1.7e308]])
+        got = table.row_distances(np.array([1.0, 0.0]), (0.25, -1.7e308))
+        assert np.array_equal(got, [0.25, 0.25])
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_row_subset_is_the_full_pass_at_those_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        table = mixed_table(rng, n)
+        weights = rng.choice([0.0, 0.3, 1.0], size=2)
+        rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        for label in ("a", "z"):
+            row = (float(rng.standard_normal()), label)
+            full = table.row_distances(weights, row)
+            assert np.array_equal(table.row_distances(weights, row, rows), full[rows])
+
     def test_length_mismatch(self):
         table = CovariateTable.continuous([[0.0, 1.0]])
         with pytest.raises(ValueError, match="every covariate"):

@@ -135,6 +135,65 @@ def _classification_pipeline(d):
          "--task", "classification")
 
 
+def _search_paths(train, test, k):
+    """Which neighbor search each test row of a unit-weight table with
+    continuous columns 0-1 and categorical columns 2-3 needs, worked out by
+    brute force: its labels unseen in training, its label partition smaller
+    than k, its partition's k-th distance below the unit categorical weight
+    (pruned), or at or above it."""
+    keys = list(zip(train[2], train[3]))
+    paths = set()
+    for i in range(len(test[0])):
+        key = (test[2][i], test[3][i])
+        part = [j for j, other in enumerate(keys) if other == key]
+        if not part:
+            paths.add("unseen")
+        elif len(part) < k:
+            paths.add("small")
+        else:
+            d = sorted(abs(train[0][j] - test[0][i]) + abs(train[1][j] - test[1][i])
+                       for j in part)
+            paths.add("pruned" if d[k - 1] < 1.0 else "wide")
+    return paths
+
+
+def _partitioned_pipeline(d):
+    """An untrained (unit-weight) model over two continuous and two
+    categorical covariates, so the categorical terms count, then predict
+    twice: at the default 3 neighbors and at 12, more than the smallest label
+    partition holds.  Between them the test rows take every search path."""
+    inst = pr.generate(120, 2, 4, seed=17)
+    U = inst.dataset.covariates.columns
+    cols = [
+        4.0 * U[0],
+        U[1],
+        np.array(["a" if v < 0.5 else "b" for v in U[2]], dtype=object),
+        np.array(["c0" if v < 0.15 else "c1" for v in U[3]], dtype=object),
+    ]
+    names, kinds = ["u0", "u1", "u2", "u3"], [CONTINUOUS, CONTINUOUS] + [CATEGORICAL] * 2
+    parts = {}
+    for part, rows in (("train", inst.train_rows), ("test", inst.test_rows)):
+        parts[part] = [c[rows] for c in cols]
+        if part == "test":
+            parts[part][3][0] = "c9"
+        table = CovariateTable.from_columns(parts[part], kinds, names)
+        storage.write_matrix_csv(d / f"X_{part}.csv", inst.dataset.predictors[rows],
+                                 ["x0", "x1"])
+        storage.write_matrix_csv(d / f"y_{part}.csv", inst.dataset.responses[rows], ["y"])
+        storage.write_covariates_csv(d / f"U_{part}.csv", table)
+    assert _search_paths(parts["train"], parts["test"], 3) | _search_paths(
+        parts["train"], parts["test"], 12) == {"unseen", "small", "pruned", "wide"}
+    (d / "schema.json").write_text(json.dumps({"columns": [
+        {"name": n, "kind": kind} for n, kind in zip(names, kinds)]}))
+    _run("train", "--x", d / "X_train.csv", "--y", d / "y_train.csv",
+         "--u", d / "U_train.csv", "--schema", d / "schema.json",
+         "--out", d / "fit", "--seed", 6, "--max-iters", 0)
+    for k in (3, 12):
+        _run("predict", "--model", d / "fit" / "model.json", "--x", d / "X_test.csv",
+             "--u", d / "U_test.csv", "--out", d / f"predictions_{k}.csv",
+             "--include-theta", "--n-neighbors", k)
+
+
 PIPELINES = {
     "regression": (
         _regression_pipeline,
@@ -143,6 +202,10 @@ PIPELINES = {
     "mixed-classification": (
         _classification_pipeline,
         "d31cd75ed94ae8884aa213824af95bb48d9fe73e254dedec3c1ab235e7b3e178",
+    ),
+    "partitioned-prediction": (
+        _partitioned_pipeline,
+        "bff26079a58e509b9866051460e62a5af3312b5ffcde4a45abf68657745456a5",
     ),
 }
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -155,20 +157,36 @@ class TestPredictPoint:
 
     @given(st.integers(0, 2**32 - 1))
     def test_nearest_k_match_full_stable_sort_under_ties(self, seed):
-        # small integer covariates and weights make every distance exact
-        # and most of them tied
+        # small integer covariates and dyadic weights make every distance
+        # exact and most of them tied; up to two label columns with three
+        # labels, zero and tiny weights and a query label unseen in training
+        # (L3) take every path of the pruned search
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
-        U = rng.integers(0, 3, size=(n, 2)).astype(float)
-        w = rng.integers(0, 3, size=2).astype(float)
-        kn = int(rng.integers(1, n + 2))
-        model = build_model(rng.standard_normal((2, n)), U, weights=w, n_neighbors=kn)
-        u = tuple(rng.integers(0, 3, size=2).astype(float))
-        dists = np.abs(U - np.array(u)) @ w
-        want = np.argsort(dists, kind="stable")[:kn]
-        pred = predict_point(model, np.zeros(2), u)
-        assert np.array_equal(pred.neighbor_ids, want)
-        assert np.array_equal(pred.neighbor_dists, dists[want])
+        kinds = ["continuous"] * 2 + ["categorical"] * int(rng.integers(0, 3))
+        U = rng.integers(0, 3, size=(n, len(kinds)))
+        u = rng.integers(0, 4, size=len(kinds))
+        w = rng.choice([0.0, 2.0**-20, 1.0, 2.0], size=len(kinds))
+        cols, row, dists = [], [], np.zeros(n)
+        for c, kind in enumerate(kinds):
+            if kind == "continuous":
+                cols.append(U[:, c].astype(float))
+                row.append(float(u[c]))
+                dists += w[c] * np.abs(U[:, c] - u[c])
+            else:
+                cols.append(np.array([f"L{v}" for v in U[:, c]], dtype=object))
+                row.append(f"L{u[c]}")
+                dists += w[c] * (U[:, c] != u[c])
+        # half the draws ask for at most 3 neighbors, which a label group
+        # can hold
+        kn = int(rng.integers(1, rng.choice([4, n + 2])))
+        model = build_model(rng.standard_normal((2, n)), cols, weights=w,
+                            n_neighbors=kn, kinds=kinds)
+        want = np.argsort(dists, kind="stable")
+        pred = predict_point(model, np.zeros(2), tuple(row))
+        assert np.array_equal(pred.neighbor_ids, want[:kn])
+        assert np.array_equal(pred.neighbor_dists, dists[want[:kn]])
+        assert np.array_equal(rank_neighbors(model, tuple(row)), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_predictors_rejected(self, bad):
@@ -231,3 +249,81 @@ class TestPredictPoint:
                 assert pred.y_hat == single.y_hat
                 assert np.array_equal(pred.neighbor_ids, single.neighbor_ids)
                 assert np.array_equal(pred.coefficients, single.coefficients)
+
+
+class TestPrunedSearch:
+    """The label-group search: rows 0, 2, 4, 6 carry label a, rows 1, 3, 5
+    label b and row 7 label c; the label weight 0.5 is the least distance
+    between groups."""
+
+    U0 = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    LABELS = np.array(list("abababac"), dtype=object)
+
+    def model(self, k):
+        rng = np.random.default_rng(8)
+        return build_model(rng.standard_normal((2, 8)), [self.U0, self.LABELS],
+                           weights=[1.0, 0.5], n_neighbors=k,
+                           kinds=["continuous", "categorical"])
+
+    @pytest.mark.parametrize("u, k, ids, passes", [
+        # group a's 2nd distance 0.15 is below 0.5: only group a is read
+        ((0.25, "a"), 2, [2, 4], [4]),
+        # no group for an unseen label: one full pass
+        ((0.25, "z"), 2, [2, 3], [8]),
+        # group c holds one row, fewer than k: one full pass
+        ((0.7, "c"), 2, [7, 6], [8]),
+        # group b's 3rd distance reaches 0.5, where row 0 of group a ties it
+        # and wins on index: group b, then the full pass
+        ((0.0, "b"), 3, [1, 3, 0], [3, 8]),
+    ], ids=["pruned", "unseen-label", "group-below-k", "kth-at-label-weight"])
+    def test_each_path_matches_the_full_sort(self, monkeypatch, u, k, ids, passes):
+        model = self.model(k)
+        full = self.U0 - u[0]
+        full = np.abs(full) + 0.5 * (self.LABELS != u[1])
+        seen = []
+        row_distances = CovariateTable.row_distances
+
+        def counted(table, weights, row, rows=None):
+            seen.append(len(table) if rows is None else len(rows))
+            return row_distances(table, weights, row, rows)
+
+        monkeypatch.setattr(CovariateTable, "row_distances", counted)
+        pred = predict_point(model, np.ones(2), u)
+        assert seen == passes
+        assert list(pred.neighbor_ids) == ids
+        assert np.array_equal(pred.neighbor_dists, full[ids])
+        X = np.random.default_rng(9).standard_normal((3, 2))
+        batch = predict_batch(model, X, [u] * 3)
+        for x, got in zip(X, batch):
+            single = predict_point(model, x, u)
+            assert got.y_hat == single.y_hat
+            assert np.array_equal(got.neighbor_ids, single.neighbor_ids)
+            assert np.array_equal(got.neighbor_dists, single.neighbor_dists)
+            assert np.array_equal(got.coefficients, single.coefficients)
+
+    def test_groups_are_built_once_per_model(self):
+        model = self.model(2)
+        part = model.label_partition
+        assert model.label_partition is part
+        assert part.columns == (1,) and part.min_weight == 0.5
+        assert np.array_equal(part.weights, [1.0, 0.0])
+        assert [list(rows) for rows in part.groups.values()] == [
+            [0, 2, 4, 6], [1, 3, 5], [7]]
+        again = dataclasses.replace(model, hyper=HyperParams(n_neighbors=3))
+        assert "label_partition" not in vars(again)
+
+    def test_zero_weight_labels_are_not_grouped(self):
+        model = build_model(np.zeros((1, 8)), [self.U0, self.LABELS],
+                            weights=[1.0, 0.0], kinds=["continuous", "categorical"])
+        assert model.label_partition is None
+
+    def test_zero_weight_column_cannot_move_the_neighbors(self):
+        # a huge zero-weight column once made inf * 0 = NaN distances, which
+        # sorted last and pushed rows 0 and 2 out of the nearest pair
+        U = np.array([[0.0, 1.7e308], [0.1, -1.7e308], [0.2, 1.7e308],
+                      [0.3, -1.7e308], [0.4, 1.7e308], [0.5, -1.7e308]])
+        model = build_model(np.zeros((1, 6)), U, weights=[1.0, 0.0], n_neighbors=2)
+        pred = predict_point(model, np.zeros(1), (0.05, -1.7e308))
+        assert list(pred.neighbor_ids) == [0, 1]
+        assert np.array_equal(pred.neighbor_dists, [0.05, 0.05])
+        assert list(rank_neighbors(model, (0.05, -1.7e308))) == list(range(6))
