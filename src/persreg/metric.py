@@ -5,7 +5,8 @@ A sorted cell grid over the two widest loading rows lists candidate pairs
 that hold every pair closer than the grid's reach, each pair once, and both
 the automatic radius and the neighbor pairs are read from those candidates.
 No (n, n) array over the loadings is built: memory grows with n plus the
-number of candidates.  The covariate distances live on ``CovariateTable``.
+number of candidates.  A step's neighbors leave as one ``NeighborPairs``,
+which only ``neighbor_pairs`` builds, from ``CovariateTable`` distances.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ class Candidates(NamedTuple):
     reach: float
 
 
-class NeighborSets(NamedTuple):
-    """Neighbor balls in compressed rows: the ball of sample i is
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+class NeighborPairs(NamedTuple):
+    """Ordered neighbor pairs, sorted ascending by (i, j), with the (k, P)
+    per-covariate distances of every pair."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    i_idx: np.ndarray
+    j_idx: np.ndarray
+    distances: np.ndarray
 
 
 def _checked_loadings(loadings) -> np.ndarray:
@@ -166,12 +168,14 @@ def candidate_pairs(loadings, radius: float) -> Candidates:
     return _grid(loadings, axes, _cell_width(_width_reaching(radius), spread))
 
 
-def neighbor_sets(near: Candidates, radius: float) -> NeighborSets:
-    """Neighbor balls at ``radius`` from candidates that reach it.
+def neighbor_sets(near: Candidates, radius: float) -> tuple:
+    """Ordered pairs (i_idx, j_idx) of the neighbor balls at ``radius``,
+    from candidates that reach it, sorted ascending by (i, j): the fixed
+    order that makes downstream reductions reproducible.
 
     Sample j is in the ball of sample i when their squared loading distance
     lies strictly below ``radius``; no sample is its own neighbor, and the
-    relation is symmetric.
+    relation is symmetric, so each mutual pair appears in both directions.
     """
     _check_radius(radius)
     if radius > near.reach:
@@ -182,19 +186,14 @@ def neighbor_sets(near: Candidates, radius: float) -> NeighborSets:
     n = len(near.order)
     keys = np.concatenate((a * n + b, b * n + a))
     keys.sort()
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return NeighborSets(indptr, keys % n)
+    return np.divmod(keys, n)
 
 
-def neighbor_pairs(sets: NeighborSets) -> tuple:
-    """Ordered-pair index arrays (i_idx, j_idx) of neighbor balls.
-
-    Pairs come out sorted ascending by (i, j); every mutual pair appears in
-    both directions.  This fixed order is what makes downstream reductions
-    reproducible.
-    """
-    n = len(sets.indptr) - 1
-    return np.repeat(np.arange(n), np.diff(sets.indptr)), sets.indices
+def neighbor_pairs(pairs: tuple, covariates: CovariateTable) -> NeighborPairs:
+    """The ordered pairs (i_idx, j_idx), in their order, with their
+    per-covariate distances over ``covariates``."""
+    i_idx, j_idx = pairs
+    return NeighborPairs(i_idx, j_idx, covariates.pair_distances(i_idx, j_idx))
 
 
 def auto_radius(loadings, target_avg: float) -> tuple:

@@ -34,9 +34,12 @@ COVARIATE_KINDS = (CONTINUOUS, CATEGORICAL)
 
 
 def _frozen_float_array(values, name: str, ndim: int) -> np.ndarray:
+    """A read-only float copy of ``values``, ``ndim``-dimensional and finite."""
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contain non-finite values")
     arr.setflags(write=False)
     return arr
 
@@ -214,10 +217,6 @@ class Dataset:
         y = _frozen_float_array(self.responses, "responses", 1)
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("need at least one sample and one predictor")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("predictors contain non-finite values")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("responses contain non-finite values")
         if y.shape[0] != X.shape[0]:
             raise ValueError(
                 f"got {X.shape[0]} predictor rows but {y.shape[0]} responses"
@@ -277,10 +276,6 @@ class Factorization:
             raise ValueError(
                 f"latent dim {q} must lie in [1, min(p={Q.shape[1]}, n={Z.shape[1]})]"
             )
-        if not np.all(np.isfinite(Z)):
-            raise ValueError("loadings contain non-finite values")
-        if not np.all(np.isfinite(Q)):
-            raise ValueError("dictionary contains non-finite values")
         object.__setattr__(self, "loadings", Z)
         object.__setattr__(self, "dictionary", Q)
 
@@ -436,10 +431,6 @@ class TrainedModel:
         pop = _frozen_float_array(self.population_coef, "population_coef", 1)
         if w.shape[0] != self.train_covariates.width:
             raise ValueError("weights length must equal covariate width")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("metric weights must be finite")
-        if not np.all(np.isfinite(pop)):
-            raise ValueError("population coefficients must be finite")
         if np.any(w < 0):
             raise ValueError("metric weights must be nonnegative")
         if self.factorization.n_samples != len(self.train_covariates):

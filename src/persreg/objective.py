@@ -1,10 +1,11 @@
 """Loss and regularizer values and (sub)gradients, plus the composite
 objective consumed by the optimizer.
 
-All gradients are closed form.  The distance-matching terms iterate ordered
-neighbor pairs sorted ascending by (i, j), accumulate covariate columns and
-latent dimensions in ascending order, and scatter with ``np.bincount``,
-which adds in sequence.
+All gradients are closed form.  ``resolve_pairs`` finds a step's neighbors
+as one ``metric.NeighborPairs``: ordered pairs sorted ascending by (i, j)
+with their covariate distances.  The distance-matching terms iterate those
+pairs in order, accumulate covariate columns and latent dimensions in
+ascending order, and scatter with ``np.bincount``, which adds in sequence.
 That fixed arithmetic order is a contract: a brute-force oracle that walks
 pairs the same way reproduces every value bit for bit, and runs are
 reproducible regardless of how the pair list was discovered.
@@ -13,11 +14,16 @@ reproducible regardless of how the pair list was discovered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .metric import auto_radius, candidate_pairs, neighbor_pairs, neighbor_sets
+from .metric import (
+    NeighborPairs,
+    auto_radius,
+    candidate_pairs,
+    neighbor_pairs,
+    neighbor_sets,
+)
 from .model import (
     REGRESSION,
     CovariateTable,
@@ -82,15 +88,6 @@ def batch_loss_terms(X, y, coefficients, task: str) -> tuple:
     return losses, X.T * slopes[None, :]
 
 
-class NeighborPairs(NamedTuple):
-    """Ordered neighbor pairs, sorted ascending by (i, j), with the (k, P)
-    per-covariate distances of every pair."""
-
-    i_idx: np.ndarray
-    j_idx: np.ndarray
-    distances: np.ndarray
-
-
 def resolve_pairs(loadings, covariates: CovariateTable, hyper: HyperParams) -> tuple:
     """Neighbor-ball radius and pairs of the current loadings.
 
@@ -102,15 +99,14 @@ def resolve_pairs(loadings, covariates: CovariateTable, hyper: HyperParams) -> t
     n = loadings.shape[1]
     if n < 2 or hyper.distance_match == 0.0:
         none = np.empty(0, dtype=np.intp)
-        return None, NeighborPairs(none, none, covariates.pair_distances(none, none))
+        return None, neighbor_pairs((none, none), covariates)
     if hyper.radius is not None:
         radius = float(hyper.radius)
         near = candidate_pairs(loadings, radius)
     else:
         target = min(float(hyper.target_neighbors), float(n - 1))
         radius, near = auto_radius(loadings, target)
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
-    return radius, NeighborPairs(i_idx, j_idx, covariates.pair_distances(i_idx, j_idx))
+    return radius, neighbor_pairs(neighbor_sets(near, radius), covariates)
 
 
 def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:

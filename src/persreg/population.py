@@ -9,12 +9,13 @@ coefficients being stationary for the averaged loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import REGRESSION, Dataset, validate_task
-from .objective import score_terms
+from .objective import NumericalError, score_terms
 
 
 class ElasticNetConvergenceError(RuntimeError):
@@ -50,9 +51,11 @@ class ElasticNetConfig:
 
 def _smooth_terms(X, y, coef, l2, task) -> tuple:
     """Value and gradient of the smooth part, the mean loss plus
-    l2 * |coef|^2, at ``coef``."""
+    l2 * |coef|^2, at ``coef``; a non-finite value is a NumericalError."""
     losses, slopes = score_terms(X @ coef, y, task)
     value = float(np.mean(losses)) + l2 * float(coef @ coef)
+    if not math.isfinite(value):
+        raise NumericalError("non-finite elastic-net objective")
     return value, X.T @ slopes / X.shape[0] + 2.0 * l2 * coef
 
 
@@ -80,7 +83,8 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
     when given, is called with the full objective value after every
     accepted step.  ``cfg.fit_task`` must be the dataset's task: the
     center-of-mass bookkeeping needs the coefficients stationary for the
-    loss that training uses.
+    loss that training uses.  A non-finite trial value, or gradient of an
+    accepted step, raises ``NumericalError``.
     """
     if cfg.fit_task != dataset.task:
         raise ValueError(
@@ -93,8 +97,11 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
     step = 1.0
     value, grad = _smooth_terms(X, y, coef, cfg.l2, cfg.fit_task)
     for _ in range(cfg.max_iters):
-        if stationarity_residual(coef, grad, cfg.l1) <= cfg.rel_tol:
+        residual = stationarity_residual(coef, grad, cfg.l1)
+        if residual <= cfg.rel_tol:
             return coef
+        if not math.isfinite(residual):
+            raise NumericalError("non-finite elastic-net gradient")
         while True:
             trial = _soft_threshold(coef - step * grad, step * cfg.l1)
             delta = trial - coef

@@ -97,12 +97,13 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
     kn = min(model.hyper.n_neighbors, model.n_train)
     fact = model.factorization
     picks = []
-    for row in rows:
-        chosen, dists = _k_nearest(model, row, kn)
-        columns = fact.dictionary.T @ fact.loadings[:, np.sort(chosen)]
-        picks.append((columns.sum(axis=1) / kn, chosen, dists))
-    # an overflowing score is refused where it is written, not warned of
+    # an overflowed distance ranks farthest and an overflowed score is
+    # refused where it is written, so neither needs a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            chosen, dists = _k_nearest(model, row, kn)
+            columns = fact.dictionary.T @ fact.loadings[:, np.sort(chosen)]
+            picks.append((columns.sum(axis=1) / kn, chosen, dists))
         z = np.array([x @ c for x, (c, _, _) in zip(X, picks)], dtype=float)
     y_hat = sigmoid(z) if model.task == CLASSIFICATION else z
     return [Prediction(c, float(y), ids, d) for (c, ids, d), y in zip(picks, y_hat)]

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from persreg.metric import candidate_pairs, neighbor_pairs, neighbor_sets
-from persreg.objective import NeighborPairs
+from persreg.metric import (
+    NeighborPairs,
+    candidate_pairs,
+    neighbor_pairs,
+    neighbor_sets,
+)
 
 
 def brute_neighbor_sets(loadings: np.ndarray, radius: float) -> list:
@@ -152,5 +156,4 @@ def pairs_within(loadings, radius, table) -> NeighborPairs:
     """Neighbor pairs of the loadings at a fixed radius, found by the
     library's grid pass, with their covariate distances over ``table``."""
     near = candidate_pairs(loadings, radius)
-    i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
-    return NeighborPairs(i_idx, j_idx, table.pair_distances(i_idx, j_idx))
+    return neighbor_pairs(neighbor_sets(near, radius), table)

@@ -206,6 +206,105 @@ class TestTrain:
         assert code == 3
 
 
+    def test_fixed_radius_flag_drops_the_neighbor_target(self, sim_dir, tmp_path):
+        out = tmp_path / "fixed"
+        assert run_cli(*train_args(
+            sim_dir, out, "--max-iters", 3, "--radius", 0.5, "--trace")) == 0
+        hyper = storage.load_json(out / "model.json")["hyper"]
+        assert hyper["radius"] == 0.5 and hyper["target_neighbors"] is None
+        records = [json.loads(line) for line in
+                   (out / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == 3
+        assert all(r["radius"] == 0.5 for r in records)
+
+    def test_explicit_neighbor_target_kept_beside_config_radius(self, sim_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radius": 0.5}))
+        out = tmp_path / "both"
+        assert run_cli(*train_args(
+            sim_dir, out, "--max-iters", 2, "--config", cfg,
+            "--target-neighbors", 4)) == 0
+        model = storage.load_model(out / "model.json")
+        assert model.hyper.radius == 0.5 and model.hyper.target_neighbors == 4.0
+
+
+def run_quietly(capsys, *args):
+    """Exit code and stderr of one CLI run, asserting that numpy warned of
+    nothing on the way."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*args)
+    assert [str(w.message) for w in caught] == []
+    return code, capsys.readouterr().err
+
+
+class TestOverflowingInputs:
+    """Finite inputs whose arithmetic overflows: a failed train says so in
+    one line with exit 3, and an overflowing covariate distance at predict
+    time ranks as farthest, with no numpy warning in either."""
+
+    @pytest.mark.parametrize("huge", [1e200, 1.7e308])
+    def test_huge_predictors_fail_train_in_one_line(self, sim_dir, tmp_path, capsys, huge):
+        _, X = storage.read_matrix_csv(sim_dir / "X.csv")
+        X[4, 1] = huge
+        storage.write_matrix_csv(sim_dir / "X.csv", X, ["x0", "x1"])
+        out = tmp_path / "fit"
+        code, err = run_quietly(capsys, *train_args(sim_dir, out, "--max-iters", 5))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_covariate_distances_fail_train_in_one_line(
+        self, sim_dir, tmp_path, capsys
+    ):
+        table = storage.read_covariates_csv(sim_dir / "U.csv")
+        cols = list(table.columns)
+        cols[0] = np.where(np.arange(len(table)) % 2 == 0, 1.7e308, -1.7e308)
+        storage.write_covariates_csv(
+            sim_dir / "U.csv", CovariateTable.from_columns(cols, table.kinds, table.names))
+        out = tmp_path / "fit"
+        code, err = run_quietly(capsys, *train_args(sim_dir, out, "--max-iters", 5))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_covariate_distance_ranks_farthest(self, sim_dir, tmp_path, capsys):
+        table = storage.read_covariates_csv(sim_dir / "U.csv")
+        cols = list(table.columns)
+        cols[0] = cols[0].copy()
+        cols[0][[2, 7]] = 1.7e308
+        storage.write_covariates_csv(
+            sim_dir / "U.csv", CovariateTable.from_columns(cols, table.kinds, table.names))
+        fitted = tmp_path / "fit"
+        assert run_cli(*train_args(sim_dir, fitted, "--max-iters", 0)) == 0
+        model = storage.load_model(fitted / "model.json")
+        test_x, test_u = tmp_path / "tx.csv", tmp_path / "tu.csv"
+        test_x.write_text("x0,x1\n0.5,0.25\n0.1,0.2\n")
+        test_u.write_text("u0,u1,u2\n-1.7e308,0.5,0.5\n0.3,0.1,0.9\n")
+        out = tmp_path / "pred.csv"
+        code, err = run_quietly(
+            capsys, "predict", "--model", fitted / "model.json", "--x", test_x,
+            "--u", test_u, "--out", out, "--n-neighbors", 58)
+        assert (code, err) == (0, "")
+        # the reference ranking: float sums in column order, whose overflow
+        # Python makes inf without a word, ties to the lower index; the two
+        # rows at an infinite distance from the first query are its last
+        train = model.train_covariates
+        assert len(train) == 60
+        got = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        for query, ids in zip(((-1.7e308, 0.5, 0.5), (0.3, 0.1, 0.9)), got):
+            dists = []
+            for i in range(len(train)):
+                d = 0.0
+                for w, a, b in zip(model.weights, train.row(i), query):
+                    d += float(w) * abs(float(a) - b)
+                dists.append(d)
+            want = np.argsort(dists, kind="stable")[:58]
+            assert ids == ";".join(str(j) for j in want)
+        assert not {"2", "7"} & set(got[0].split(";"))
+
+
 @pytest.fixture
 def fitted(sim_dir, tmp_path):
     out = tmp_path / "fit"

@@ -262,25 +262,24 @@ class TestPrecomputeCache:
 
 
 def sets_at(Z, radius):
-    """Neighbor balls of the loadings at a fixed radius."""
+    """Ordered neighbor pairs (i_idx, j_idx) of the loadings at a fixed
+    radius."""
     return neighbor_sets(candidate_pairs(Z, radius), radius)
 
 
-def members_of(sets):
-    """Dense membership matrix of neighbor balls."""
-    n = len(sets.indptr) - 1
+def members_of(pairs, n):
+    """Dense membership matrix of n samples' ordered neighbor pairs."""
     members = np.zeros((n, n), dtype=bool)
-    members[neighbor_pairs(sets)] = True
+    members[pairs] = True
     return members
 
 
 def balls(Z, radius):
-    """Neighbor balls as lists of indices, one per sample."""
-    sets = sets_at(Z, radius)
-    return [
-        list(sets.indices[sets.indptr[i] : sets.indptr[i + 1]])
-        for i in range(len(sets.indptr) - 1)
-    ]
+    """Neighbor balls as lists of indices, one per sample, in pair order."""
+    out = [[] for _ in range(Z.shape[1])]
+    for i, j in zip(*sets_at(Z, radius)):
+        out[i].append(int(j))
+    return out
 
 
 def oracle_members(Z, radius):
@@ -307,7 +306,7 @@ def assert_radius_and_balls_exact(Z, target):
     balls equal the double-loop oracle's, exactly."""
     radius, near = auto_radius(Z, target)
     assert radius == upper_triangle_radius(Z, target)
-    members = members_of(neighbor_sets(near, radius))
+    members = members_of(neighbor_sets(near, radius), Z.shape[1])
     assert np.array_equal(members, oracle_members(Z, radius))
     return radius
 
@@ -341,8 +340,8 @@ class TestPairwiseSquared:
 
 class TestNeighborSets:
     def test_single_sample(self):
-        sets = sets_at(np.zeros((2, 1)), 1.0)
-        assert list(sets.indptr) == [0, 0] and len(sets.indices) == 0
+        i_idx, j_idx = sets_at(np.zeros((2, 1)), 1.0)
+        assert len(i_idx) == len(j_idx) == 0
 
     def test_one_dimensional_hand_case(self):
         assert balls(np.array([[0.0, 1.0, 3.0]]), 1.5) == [[1], [0], []]
@@ -366,7 +365,7 @@ class TestNeighborSets:
 
     def test_symmetric_relation(self):
         rng = np.random.default_rng(3)
-        members = members_of(sets_at(rng.standard_normal((3, 40)), 2.0))
+        members = members_of(sets_at(rng.standard_normal((3, 40)), 2.0), 40)
         assert np.array_equal(members, members.T)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 3))
@@ -375,25 +374,35 @@ class TestNeighborSets:
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((q, n))
         radius = float(rng.uniform(0.05, 2.0))
-        got = members_of(sets_at(Z, radius))
+        got = members_of(sets_at(Z, radius), n)
         assert np.array_equal(got, oracle_members(Z, radius))
 
     def test_grid_path_matches_reference_loops(self):
         rng = np.random.default_rng(11)
         Z = rng.standard_normal((2, 200))
         radius = 0.3
-        got = members_of(sets_at(Z, radius))
+        got = members_of(sets_at(Z, radius), 200)
         assert np.array_equal(got, oracle_members(Z, radius))
 
     def test_pairs_are_sorted_by_i_then_j(self):
         rng = np.random.default_rng(5)
-        sets = sets_at(rng.standard_normal((2, 30)), 1.0)
-        members = members_of(sets)
-        i_idx, j_idx = neighbor_pairs(sets)
+        i_idx, j_idx = sets_at(rng.standard_normal((2, 30)), 1.0)
+        members = members_of((i_idx, j_idx), 30)
         order = np.lexsort((j_idx, i_idx))
         assert np.array_equal(order, np.arange(len(i_idx)))
         assert np.array_equal(members[i_idx, j_idx], np.ones(len(i_idx), dtype=bool))
         assert len(i_idx) == members.sum()
+
+    def test_neighbor_pairs_carry_their_covariate_distances(self):
+        rng = np.random.default_rng(8)
+        table = mixed_table(rng, 25)
+        i_idx, j_idx = sets_at(rng.standard_normal((2, 25)), 1.0)
+        pairs = neighbor_pairs((i_idx, j_idx), table)
+        assert pairs.i_idx is i_idx and pairs.j_idx is j_idx
+        mats = oracle_matrices(table)
+        for dist, mat in zip(pairs.distances, mats):
+            assert np.array_equal(dist, mat[i_idx, j_idx])
+        assert pairs.distances.shape == (2, len(i_idx))
 
     def test_radius_beyond_the_candidates_rejected(self):
         Z = np.random.default_rng(6).standard_normal((2, 50))
@@ -504,12 +513,12 @@ class TestDegenerateGeometry:
         positive = upper[upper > 0.0]
         # below every positive pair distance: only coincident pairs remain
         low = float(positive.min()) / 2.0 if positive.size else 1e-300
-        members = members_of(sets_at(Z, low))
+        members = members_of(sets_at(Z, low), n)
         assert np.array_equal(members, oracle_members(Z, low))
         assert members.sum() == 2 * np.count_nonzero(upper == 0.0)
         # above every pair distance: every pair
         high = 2.0 * float(upper.max()) + 1.0
-        members = members_of(sets_at(Z, high))
+        members = members_of(sets_at(Z, high), n)
         assert members.sum() == n * (n - 1)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
@@ -518,7 +527,7 @@ class TestDegenerateGeometry:
         Z = np.full((q, n), 1e8)
         radius, near = auto_radius(Z, 10.0)
         assert radius == RADIUS_NUDGE
-        i_idx, j_idx = neighbor_pairs(neighbor_sets(near, radius))
+        i_idx, j_idx = neighbor_sets(near, radius)
         assert len(i_idx) == n * (n - 1)
         assert not np.any(i_idx == j_idx)
 

@@ -3,7 +3,8 @@
 Speed work must not change what a seeded fit produces.  Each fit case
 hashes (sha256) the serialized model together with the per-iteration trace
 records of one small fit; each pipeline case hashes every file that one
-small seeded run of the command-line tools leaves behind.  The hashes were recorded with numpy 2.4.6 and
+small seeded run of the command-line tools leaves behind; the pair case
+hashes the neighbor pairs one training step finds for seeded loadings.  The hashes were recorded with numpy 2.4.6 and
 Python 3.11 on x86-64 Linux; another numpy build or BLAS may round the
 SVD or the matrix products differently, and then every hash moves at once.
 A change that moves only some of them changed the arithmetic.
@@ -24,6 +25,7 @@ from persreg.model import (
     CovariateTable,
     Dataset,
 )
+from persreg.objective import resolve_pairs
 
 
 def _continuous_regression():
@@ -224,3 +226,32 @@ def test_seeded_cli_pipeline_bytes_are_pinned(name, tmp_path):
     run, want = PIPELINES[name]
     run(tmp_path)
     assert directory_digest(tmp_path) == want
+
+
+def pairs_digest():
+    """sha256 over the radius and the pairs, with their dtypes, that
+    ``resolve_pairs`` gives for seeded loadings over the continuous and the
+    mixed fit tables: at the automatic radius, at a fixed radius, and
+    without distance matching."""
+    h = hashlib.sha256()
+    settings = (
+        pr.HyperParams(),
+        pr.HyperParams(radius=0.05, target_neighbors=None),
+        pr.HyperParams(distance_match=0.0),
+    )
+    for seed, build in enumerate((_continuous_regression, _mixed_classification)):
+        table = build().covariates
+        loadings = np.random.default_rng(seed).standard_normal((2, len(table)))
+        for hyper in settings:
+            radius, pairs = resolve_pairs(loadings, table, hyper)
+            h.update(repr(radius).encode() + b"\0")
+            for arr in (pairs.i_idx, pairs.j_idx, pairs.distances):
+                h.update(f"{arr.dtype.str}{arr.shape}".encode() + b"\0")
+                h.update(np.ascontiguousarray(arr).tobytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_neighbor_pairs_are_pinned():
+    assert pairs_digest() == (
+        "a12fe66f47e7e95736eacd80b2c9329d3de55358eb4104303a3a178964abfaed"
+    )

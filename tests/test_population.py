@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from persreg.model import CovariateTable, Dataset
+from persreg.objective import NumericalError
 from persreg.population import (
     ElasticNetConfig,
     ElasticNetConvergenceError,
@@ -119,6 +120,20 @@ class TestFitPopulation:
             fit_population(make_dataset(X, y), cfg)
         assert err.value.coef.shape == (4,)
         assert err.value.residual > 1e-14
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("huge", [1e200, 1.7e308])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_non_finite_trial_is_a_numerical_error(self, huge, task):
+        # finite predictors whose products overflow: no step from the
+        # failed trial can be checked, so it is refused, not accepted
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 3))
+        X[4, 1] = huge
+        y = X[:, 0] if task == "regression" else (X[:, 0] > 0).astype(float)
+        cfg = ElasticNetConfig(l1=0.1, fit_task=task)
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_population(make_dataset(X, y, task), cfg)
 
     def test_smooth_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
