@@ -297,21 +297,6 @@ def coefficient_matrix(fact: Factorization) -> np.ndarray:
     return fact.dictionary.T @ fact.loadings
 
 
-def normalize_dictionary(fact: Factorization) -> Factorization:
-    """Rescale every dictionary column to unit Euclidean norm.
-
-    Loadings are left untouched, so the implied coefficients change; this is
-    meant for post-hoc geometry checks, not as a training step.
-    """
-    norms = np.sqrt(np.sum(fact.dictionary**2, axis=0))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"dictionary column {int(zero[0])} is the zero vector")
-    return Factorization(
-        loadings=fact.loadings, dictionary=fact.dictionary / norms[None, :]
-    )
-
-
 def center_of_mass(fact: Factorization) -> np.ndarray:
     """Mean coefficient vector over all samples."""
     return fact.dictionary.T @ fact.loadings.mean(axis=1)

@@ -35,12 +35,12 @@ from .model import (
 
 
 class NumericalError(RuntimeError):
-    """Non-finite value encountered; carries the offending sample index."""
+    """Non-finite value encountered, or a line search that cannot lower the
+    objective; carries the offending sample index when one is known."""
 
-    def __init__(self, message: str, sample: int | None = None, iteration=None):
+    def __init__(self, message: str, sample: int | None = None):
         super().__init__(message)
         self.sample = sample
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)

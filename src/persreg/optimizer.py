@@ -155,10 +155,7 @@ def train_step(state: TrainState, dataset: Dataset, hyper: HyperParams) -> Train
         and np.all(np.isfinite(new_dictionary))
         and np.all(np.isfinite(new_weights))
     ):
-        raise NumericalError(
-            f"non-finite update at iteration {state.iteration}",
-            iteration=state.iteration,
-        )
+        raise NumericalError(f"non-finite update at iteration {state.iteration}")
 
     return TrainState(
         factorization=Factorization(loadings=new_loadings, dictionary=new_dictionary),

@@ -84,7 +84,9 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
     accepted step.  ``cfg.fit_task`` must be the dataset's task: the
     center-of-mass bookkeeping needs the coefficients stationary for the
     loss that training uses.  A non-finite trial value, or gradient of an
-    accepted step, raises ``NumericalError``.
+    accepted step, raises ``NumericalError``, and so does a line search
+    that halves the step below 1e-18 while its trial still raises the
+    smooth objective (badly scaled predictors).
     """
     if cfg.fit_task != dataset.task:
         raise ValueError(
@@ -96,12 +98,14 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
     coef = np.zeros(dataset.p, dtype=float)
     step = 1.0
     value, grad = _smooth_terms(X, y, coef, cfg.l2, cfg.fit_task)
-    for _ in range(cfg.max_iters):
+    for iteration in range(cfg.max_iters + 1):
         residual = stationarity_residual(coef, grad, cfg.l1)
         if residual <= cfg.rel_tol:
             return coef
         if not math.isfinite(residual):
             raise NumericalError("non-finite elastic-net gradient")
+        if iteration == cfg.max_iters:
+            raise ElasticNetConvergenceError(coef, residual, cfg.max_iters)
         while True:
             trial = _soft_threshold(coef - step * grad, step * cfg.l1)
             delta = trial - coef
@@ -111,12 +115,13 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
                 break
             step *= 0.5
             if step < 1e-18:
+                if trial_value > value:
+                    raise NumericalError(
+                        "elastic-net line search stalled: below a step of "
+                        "1e-18 the objective still rises; rescale the predictors"
+                    )
                 break
         coef, value, grad = trial, trial_value, trial_grad
         step *= 1.1  # gentle growth so halving stays responsive
         if on_iterate is not None:
             on_iterate(value + cfg.l1 * float(np.sum(np.abs(coef))))
-    residual = stationarity_residual(coef, grad, cfg.l1)
-    if residual <= cfg.rel_tol:
-        return coef
-    raise ElasticNetConvergenceError(coef, residual, cfg.max_iters)

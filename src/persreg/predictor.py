@@ -41,10 +41,7 @@ class Prediction:
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest distances, nearest first, ties to the lower
     index: a stable sort of the candidates at or below the k-th smallest."""
-    if k < len(dists):
-        candidates = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    else:
-        candidates = np.arange(len(dists))
+    candidates = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
     order = np.argsort(dists[candidates], kind="stable")
     return candidates[order[:k]]
 
@@ -68,10 +65,10 @@ def _k_nearest(model: TrainedModel, row: tuple, k: int) -> tuple:
 
 
 def rank_neighbors(model: TrainedModel, u_row) -> np.ndarray:
-    """Training indices ordered nearest first, ties broken by index."""
-    table = model.train_covariates
-    dists = table.row_distances(model.weights, table.validate_row(u_row))
-    return _nearest(dists, len(dists))
+    """Training indices ordered nearest first, ties broken by index: the
+    k = n case of the nearest-row search."""
+    row = model.train_covariates.validate_row(u_row)
+    return _k_nearest(model, row, model.n_train)[0]
 
 
 def predict_batch(model: TrainedModel, X, covariate_rows) -> list:

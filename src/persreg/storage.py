@@ -153,7 +153,7 @@ def read_covariates_csv(path, schema=None) -> CovariateTable:
     """Read a covariate table.  A schema ``(names, kinds)`` must name the
     header's columns in order; without one, columns that parse as numbers
     become continuous and the rest categorical."""
-    names, rows, _ = read_csv(path)
+    names, rows, lines = read_csv(path)
     if schema is None:
         kinds = [None] * len(names)
     else:
@@ -169,9 +169,17 @@ def read_covariates_csv(path, schema=None) -> CovariateTable:
                 col, kind = [float(v) for v in col], CONTINUOUS
             except ValueError:
                 if kind == CONTINUOUS:
-                    msg = f"{path}: covariate {name!r} is not numeric"
-                    raise ValueError(msg) from None
+                    for line, cell in zip(lines, col):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            msg = f"{path}:{line}: covariate {name!r} is not numeric"
+                            raise ValueError(msg) from None
                 kind = CATEGORICAL
+            else:
+                bad = [line for line, v in zip(lines, col) if not math.isfinite(v)]
+                if bad:
+                    raise ValueError(f"{path}:{bad[0]}: covariate {name!r} is non-finite")
         parsed.append(col)
         found.append(kind)
     return CovariateTable.from_columns(parsed, found, names)
@@ -229,15 +237,18 @@ def model_from_dict(data: dict) -> TrainedModel:
     try:
         cov = data["covariates"]
         names, kinds, rows = cov["names"], cov["kinds"], cov["rows"]
+        if set(map(len, rows)) - {len(names)}:
+            i = next(i for i, row in enumerate(rows) if len(row) != len(names))
+            raise ValueError(
+                f"malformed model file: covariate row {i} has {len(rows[i])} "
+                f"cells, expected {len(names)}"
+            )
         table = CovariateTable.from_columns(_columns(rows, len(names)), kinds, names)
-        fact = Factorization(
-            loadings=np.asarray(data["loadings"], dtype=float),
-            dictionary=np.asarray(data["dictionary"], dtype=float),
-        )
+        fact = Factorization(loadings=data["loadings"], dictionary=data["dictionary"])
         return TrainedModel(
             factorization=fact,
-            weights=np.asarray(data["weights"], dtype=float),
-            population_coef=np.asarray(data["population_coef"], dtype=float),
+            weights=data["weights"],
+            population_coef=data["population_coef"],
             train_covariates=table,
             task=data["task"],
             hyper=hyper_from_dict(data["hyper"]),

@@ -4,7 +4,9 @@ These deliberately recompute things the slow, obvious way: plain double
 loops for neighbor queries and covariate distances, scalar accumulation
 for the distance-matching terms (walking ordered pairs ascending and
 mirroring the library's documented accumulation order so exact comparison
-is meaningful), and central finite differences for gradients.
+is meaningful), and central finite differences for gradients.  The one
+helper here that is not a reference, ``normalize_dictionary``, is a
+post-hoc rescaling that only the tests use.
 """
 
 from __future__ import annotations
@@ -17,6 +19,22 @@ from persreg.metric import (
     neighbor_pairs,
     neighbor_sets,
 )
+from persreg.model import Factorization
+
+
+def normalize_dictionary(fact: Factorization) -> Factorization:
+    """Rescale every dictionary column to unit Euclidean norm.
+
+    Loadings are left untouched, so the implied coefficients change; this is
+    meant for post-hoc geometry checks, not as a training step.
+    """
+    norms = np.sqrt(np.sum(fact.dictionary**2, axis=0))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"dictionary column {int(zero[0])} is the zero vector")
+    return Factorization(
+        loadings=fact.loadings, dictionary=fact.dictionary / norms[None, :]
+    )
 
 
 def brute_neighbor_sets(loadings: np.ndarray, radius: float) -> list:

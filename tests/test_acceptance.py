@@ -17,7 +17,6 @@ from persreg.model import (
     HyperParams,
     center_of_mass,
     coefficient_matrix,
-    normalize_dictionary,
 )
 from persreg.objective import (
     batch_loss_terms,
@@ -33,6 +32,7 @@ from oracles import (
     central_difference,
     match_gradients_reference,
     match_values_reference,
+    normalize_dictionary,
     oracle_matrices,
     pairs_within,
     pairwise_squared,

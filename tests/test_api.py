@@ -2,13 +2,15 @@
 
 A name they use that the library no longer has makes the benchmark die
 with a traceback instead of printing its result line, so each reference
-is resolved here first.
+is resolved here first.  The other way round, a function or class that
+nothing but the tests reaches does not belong in the library.
 """
 
 import ast
 import importlib
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import persreg
 from persreg import cli, storage
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC_FILES = sorted((ROOT / "src" / "persreg").glob("*.py"))
 CALLER_FILES = sorted((ROOT / "perfbench").glob("*.py")) + sorted(
     (ROOT / "scripts").glob("*.py")
 )
@@ -137,3 +140,44 @@ def test_every_probe_target_is_called(tmp_path):
     recorded = {span[0] for span in tracer.spans}
     for owner, attr, name in probes.TARGETS:
         assert name in recorded, f"persreg.{owner}.{attr} was not called"
+
+
+def definitions(tree) -> list:
+    """Every function and class defined in a module, at any depth, except
+    the dunder methods."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def referenced_names(node) -> list:
+    """Every name read, attribute reached and name imported below ``node``."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name)
+    return names
+
+
+def test_every_library_definition_has_a_user_outside_the_tests():
+    """Each function and class in ``src/persreg`` is referenced elsewhere in
+    the library, or by ``perfbench/``, ``scripts/`` or the README; code that
+    only the tests call belongs under ``tests/``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC_FILES}
+    in_src = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    outside = "\n".join(p.read_text() for p in CALLER_FILES + [ROOT / "README.md"])
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in definitions(tree)
+        if in_src[node.name] == referenced_names(node).count(node.name)
+        and not re.search(rf"\b{node.name}\b", outside)
+    ]
+    assert unused == []

@@ -244,7 +244,7 @@ class TestOverflowingInputs:
     one line with exit 3, and an overflowing covariate distance at predict
     time ranks as farthest, with no numpy warning in either."""
 
-    @pytest.mark.parametrize("huge", [1e200, 1.7e308])
+    @pytest.mark.parametrize("huge", [1e10, 1e200, 1.7e308])
     def test_huge_predictors_fail_train_in_one_line(self, sim_dir, tmp_path, capsys, huge):
         _, X = storage.read_matrix_csv(sim_dir / "X.csv")
         X[4, 1] = huge
@@ -354,6 +354,25 @@ class TestPredict:
             "--u", sim_dir / "U.csv", "--out", tmp_path / "p.csv",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [True, False], ids=["long", "short"])
+    def test_ragged_covariate_row_in_model_is_input_error(
+        self, sim_dir, fitted, tmp_path, capsys, extra
+    ):
+        data = storage.load_json(fitted / "model.json")
+        row = data["covariates"]["rows"][7]
+        if extra:
+            row.append(0.5)
+        else:
+            row.pop()
+        bad = tmp_path / "bad.json"
+        storage.dump_json(bad, data)
+        code = run_cli(
+            "predict", "--model", bad, "--x", sim_dir / "X.csv",
+            "--u", sim_dir / "U.csv", "--out", tmp_path / "p.csv",
+        )
+        assert code == 2
+        assert "covariate row 7 has" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_predictor_is_input_error(self, sim_dir, fitted, tmp_path, cell):
@@ -677,6 +696,55 @@ def test_malformed_row_is_reported_at_its_line(tmp_path, capsys, name, text, lin
     read = storage.read_matrix_csv if name == "matrix" else storage.read_covariates_csv
     with pytest.raises(ValueError, match=f":{line}:"):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "text, kinds, message",
+    [("u0,u1\n1.5,a\n\nnan,b\n", None, ":4: covariate 'u0' is non-finite"),
+     ("u0,u1\n1.5,2.0\n\n2.0,x\n", ["continuous", "continuous"],
+      ":4: covariate 'u1' is not numeric")],
+    ids=["non-finite", "non-numeric"],
+)
+def test_covariate_cell_error_names_its_file_line(tmp_path, text, kinds, message):
+    path = tmp_path / "u.csv"
+    path.write_text(text)
+    schema = None if kinds is None else (["u0", "u1"], kinds)
+    with pytest.raises(ValueError) as err:
+        storage.read_covariates_csv(path, schema)
+    assert str(err.value).startswith(f"{path}{message}")
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("config-list", "config file must hold a JSON object"),
+        ("omega-without-model", "--omega-true requires --model"),
+        ("no-y-hat", "missing y_hat column"),
+        ("two-column-responses", "expected one column, found 2"),
+        ("empty-csv", "empty CSV"),
+    ],
+)
+def test_rejected_input_exits_2_with_its_message(sim_dir, tmp_path, capsys, case, message):
+    pred, truth = tmp_path / "p.csv", tmp_path / "y.csv"
+    pred.write_text("row_id,y_hat,neighbor_ids\n0,0.5,0\n")
+    truth.write_text("y\n0.5\n")
+    args = ("evaluate", "--predictions", pred, "--responses", truth,
+            "--out", tmp_path / "m.json")
+    if case == "config-list":
+        config = tmp_path / "c.json"
+        config.write_text("[1, 2]")
+        args = train_args(sim_dir, tmp_path / "fit", "--config", config)
+    elif case == "omega-without-model":
+        args += ("--omega-true", sim_dir / "omega_true.csv")
+    elif case == "no-y-hat":
+        pred.write_text("row_id,score\n0,0.5\n")
+    elif case == "two-column-responses":
+        truth.write_text("y,z\n0.5,1.0\n")
+    else:
+        truth.write_bytes(b"")
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_csv_readers_skip_blank_lines(tmp_path):

@@ -10,8 +10,9 @@ from persreg.model import (
     TrainedModel,
     center_of_mass,
     coefficient_matrix,
-    normalize_dictionary,
 )
+
+from oracles import normalize_dictionary
 
 
 def random_factorization(rng, q=None, p=None, n=None):

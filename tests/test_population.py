@@ -135,6 +135,17 @@ class TestFitPopulation:
         with pytest.raises(NumericalError, match="non-finite"):
             fit_population(make_dataset(X, y, task), cfg)
 
+    def test_stalled_line_search_is_a_numerical_error(self):
+        # predictors scaled by 1e10: no step the line search can take
+        # lowers the objective, so the fit stops instead of climbing
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 3)) * 1e10
+        values = []
+        cfg = ElasticNetConfig(l1=0.1, max_iters=50)
+        with pytest.raises(NumericalError, match="line search stalled"):
+            fit_population(make_dataset(X, X[:, 0] / 1e10), cfg, on_iterate=values.append)
+        assert np.all(np.diff(np.asarray(values)) <= 0.0)
+
     def test_smooth_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((20, 3))
