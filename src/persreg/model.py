@@ -4,9 +4,10 @@ datasets, the factorized per-sample coefficients, and hyperparameters.
 The covariate distances read the table in an encoded form, built once per
 table on the first distance query: continuous columns as float64, each
 categorical column as integer codes.  Training reads per-covariate distances
-only at the neighbor pairs of each step, and prediction only from one row to
-the samples of its label group (``TrainedModel.label_partition``) or to every
-sample, so no pairwise matrix over the covariates is ever built.
+only at the neighbor pairs of each step.  Prediction reads them in bounded
+blocks from a few query rows to the samples of one label group, whose
+searched columns ``TrainedModel.label_partition`` keeps contiguous, or to
+every sample, so no pairwise matrix over the covariates is ever built.
 
 Per-sample coefficient vectors are never stored as a dense p x n matrix on
 their own.  They are always derived from a shared dictionary (q x p) and
@@ -146,29 +147,40 @@ class CovariateTable:
                 np.not_equal(vals[i_idx], vals[j_idx], out=dist)
         return out
 
-    def row_distances(self, weights, row, rows=None) -> np.ndarray:
-        """Learned distance from one covariate row to every row of the table,
-        or to the table rows ``rows`` in their order: the per-covariate
-        distances times ``weights``, added column by column.  A zero-weight
-        column is skipped, as its term is +0.0 on finite values, so a huge
-        value there cannot make an ``inf * 0`` NaN.  ``row`` follows the
-        schema (``validate_row``); a label the table lacks gets code -1, so
-        it differs from every row."""
-        if not len(weights) == len(row) == self.width:
-            raise ValueError("weights and row must cover every covariate")
-        n = len(self) if rows is None else len(rows)
-        dists = np.zeros(n, dtype=float)
-        per = np.empty(n, dtype=float)
-        for w, (vals, codebook), value in zip(weights, self.encoding, row):
+    def row_distances(self, weights, queries, rows=None) -> np.ndarray:
+        """(m, n) learned distances from the m covariate rows ``queries`` to
+        every row of the table, or (m, len) to the table rows in the slice
+        ``rows``: the per-covariate distances times ``weights``, added column
+        by column onto +0.0.  A zero-weight column is skipped, as its term is
+        +0.0 on finite values, so a huge value there cannot make an
+        ``inf * 0`` NaN.  Each query follows the schema (``validate_row``); a
+        label the table lacks gets code -1, so it differs from every row."""
+        if len(weights) != self.width or any(len(q) != self.width for q in queries):
+            raise ValueError("weights and rows must cover every covariate")
+        n = len(self) if rows is None else len(self.columns[0][rows])
+        dists = np.zeros((len(queries), n), dtype=float)
+        per = np.empty(dists.shape, dtype=float)
+        weights = np.asarray(weights, dtype=float).tolist()
+        # one query's value broadcasts as a scalar: building a column array
+        # per covariate instead made a predict_point 3-10 % slower (2-core host)
+        one = queries[0] if len(queries) == 1 else None
+        for c, (w, (vals, codebook)) in enumerate(zip(weights, self.encoding)):
             if w == 0.0:
                 continue
-            if rows is not None:
-                vals = vals[rows]
+            if one is not None:
+                values = one[c] if codebook is None else codebook.get(one[c], -1)
+            elif codebook is None:
+                values = np.array([q[c] for q in queries], dtype=float)[:, None]
+            else:
+                codes = [codebook.get(q[c], -1) for q in queries]
+                values = np.array(codes)[:, None]
+            # a (1, n) view broadcasts against the values faster than (n,)
+            vals = vals[None] if rows is None else vals[None, rows]
             if codebook is None:
-                np.subtract(vals, value, out=per)
+                np.subtract(vals, values, out=per)
                 np.abs(per, out=per)
             else:
-                np.not_equal(vals, codebook.get(value, -1), out=per)
+                np.not_equal(vals, values, out=per)
             per *= w
             dists += per
         return dists
@@ -380,20 +392,35 @@ INTEGER_HYPERS = tuple(name for name, hint in _HYPER_HINTS.items() if hint is in
 @dataclass(frozen=True)
 class LabelPartition:
     """Training rows grouped by their codes on the positive-weight
-    categorical covariates ``columns``: ``groups`` maps a tuple of codes to
-    its rows in ascending index order.
+    categorical covariates ``columns``.  ``order`` lists the training rows
+    group by group, each group in ascending index order, and ``groups`` maps
+    a group's tuple of codes to its slice of ``order``.
 
-    Two rows of different groups differ on one of those covariates, so
-    their distance is at least ``min_weight``.  Within a group the keyed
-    covariates add exactly zero, so ``weights`` (the model's, with the keyed
-    covariates zeroed) gives the same distances there while reading fewer
-    columns.
+    Two rows of different groups differ on one of those covariates, so their
+    distance is at least ``min_weight``.  Within a group the keyed covariates
+    add exactly zero, so the other positive-weight covariates, ``searched``
+    (all continuous), give the same distances there.  ``table`` holds the
+    searched columns in the order of ``order``, so a group is one contiguous
+    slice of each, and ``weights`` their weights; ``table`` is None when no
+    covariate is searched.
     """
 
     columns: tuple
     groups: dict
-    min_weight: float
+    order: np.ndarray
+    searched: tuple
+    table: CovariateTable | None
     weights: np.ndarray
+    min_weight: float
+
+    def distances(self, rows, span: slice) -> np.ndarray:
+        """(m, len) distances from m validated covariate rows to the group
+        rows in the slice ``span`` of ``order``: the searched covariates'
+        terms, as the keyed ones add zero there."""
+        if self.table is None:
+            return np.zeros((len(rows), span.stop - span.start))
+        queries = [tuple([row[c] for c in self.searched]) for row in rows]
+        return self.table.row_distances(self.weights, queries, span)
 
 
 @dataclass(frozen=True)
@@ -434,26 +461,35 @@ class TrainedModel:
         categorical covariates; None when there is no such covariate.  Built
         on the first prediction and kept for the model's lifetime."""
         table = self.train_covariates
-        keyed = tuple(
-            c for c, ((_, codebook), w) in enumerate(zip(table.encoding, self.weights))
-            if codebook is not None and w > 0.0
-        )
+        positive = [c for c, w in enumerate(self.weights) if w > 0.0]
+        keyed = tuple(c for c in positive if table.kinds[c] == CATEGORICAL)
         if not keyed:
             return None
-        codes = np.stack([table.encoding[c][0] for c in keyed], axis=1)
-        keys, group = np.unique(codes, axis=0, return_inverse=True)
-        group = group.ravel()
+        searched = tuple(c for c in positive if c not in keyed)
+        # one group code per row, lexicographic in the keyed codes; ranking it
+        # again after each column keeps it below n, so it cannot overflow
+        group = np.zeros(len(table), dtype=np.intp)
+        for c in keyed:
+            codes, codebook = table.encoding[c]
+            group = np.unique(group * len(codebook) + codes, return_inverse=True)[1]
         # a stable sort keeps each group's rows in ascending index order
         order = np.argsort(group, kind="stable")
-        bounds = np.cumsum(np.bincount(group))[:-1]
-        weights = self.weights.copy()
-        weights[list(keyed)] = 0.0
-        weights.setflags(write=False)
+        stops = np.cumsum(np.bincount(group)).tolist()
+        starts = [0] + stops[:-1]
+        groups = {
+            tuple(int(table.encoding[c][0][order[a]]) for c in keyed): slice(a, b)
+            for a, b in zip(starts, stops)
+        }
+        ordered = [table.columns[c][order] for c in searched]
         return LabelPartition(
             columns=keyed,
-            groups=dict(zip(map(tuple, keys.tolist()), np.split(order, bounds))),
+            groups=groups,
+            order=order,
+            searched=searched,
+            table=(CovariateTable.from_columns(ordered, (CONTINUOUS,) * len(ordered))
+                   if searched else None),
+            weights=self.weights[list(searched)],
             min_weight=float(self.weights[list(keyed)].min()),
-            weights=weights,
         )
 
     @property

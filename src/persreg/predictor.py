@@ -14,10 +14,23 @@ those covariates (the model's ``label_partition``).  If that group holds k
 rows and its k-th distance is below the smallest such weight, every other
 row is strictly farther, and these k are the answer.  Otherwise, when the
 query carries a label unseen in training, its group has fewer than k rows,
-or its k-th distance reaches that weight, one pass measures every training
+or its k-th distance reaches that weight, a pass measures every training
 row.  Groups keep their rows in ascending index order, so ties still go to
 the lower training index, and both paths return the same neighbors,
 distances and predictions bit for bit.
+
+A batch is searched in blocks.  Its queries are grouped by label, and each
+group's queries are measured against that group's rows, which the
+partition keeps as one contiguous slice of its searched columns, as one
+(queries, rows) block; the queries its group cannot answer are measured
+against every training row in blocks of their own.  Every block holds at
+most ``BLOCK_CELLS`` distances, so the search's distance arrays stay
+bounded whatever the batch size.  A single query skips the grouping and
+goes straight to its group.  The coefficients of the whole batch come from
+one stacked matrix product that makes, per query, the same product of the
+same layout as a single query's, so a batch and a loop of single
+predictions agree bit for bit.  That product is not chunked: it holds the
+batch's neighbor loadings, queries x factors x k floats, at once.
 """
 
 from __future__ import annotations
@@ -29,6 +42,10 @@ import numpy as np
 from .model import CLASSIFICATION, TrainedModel
 from .objective import sigmoid
 
+# query rows times training rows of one distance block: a search holds at
+# most a few float arrays of this many cells, whatever the batch size
+BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -38,37 +55,94 @@ class Prediction:
     neighbor_dists: np.ndarray
 
 
-def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances, nearest first, ties to the lower
-    index: a stable sort of the candidates at or below the k-th smallest."""
-    candidates = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    order = np.argsort(dists[candidates], kind="stable")
-    return candidates[order[:k]]
+def _nearest(dists: np.ndarray, k: int) -> tuple:
+    """Per row of the (m, n) ``dists``, the indices of its k smallest
+    distances, nearest first, ties to the lower index, and those distances,
+    as two lists of m arrays: a stable sort of the row's candidates at or
+    below its k-th smallest."""
+    partitioned = dists.copy()
+    partitioned.partition(k - 1, axis=1)
+    chosen, near = [], []
+    for d, at_most in zip(dists, dists <= partitioned[:, k - 1:k]):
+        candidates = at_most.nonzero()[0]
+        chosen.append(candidates[d[candidates].argsort(kind="stable")[:k]])
+        near.append(d[chosen[-1]])
+    return chosen, near
 
 
-def _k_nearest(model: TrainedModel, row: tuple, k: int) -> tuple:
-    """The k nearest training rows to a validated covariate row, nearest
-    first, and their distances: from the row's label group when that
-    provably holds them, else from a pass over every training row."""
+def _blocks(members: list, width: int) -> list:
+    """``members`` in runs of at most ``BLOCK_CELLS // width`` queries (at
+    least one), one distance block each."""
+    step = max(1, BLOCK_CELLS // width)
+    return [members[a:a + step] for a in range(0, len(members), step)]
+
+
+def _group(model: TrainedModel, row: tuple, k: int) -> slice | None:
+    """The slice of ``label_partition.order`` holding the row's label group,
+    or None when the model has no partition, the row carries a label unseen
+    in training, or its group holds fewer than k rows."""
     table, part = model.train_covariates, model.label_partition
-    if part is not None:
-        key = tuple(table.encoding[c][1].get(row[c]) for c in part.columns)
-        rows = part.groups.get(key)
-        if rows is not None and len(rows) >= k:
-            dists = table.row_distances(part.weights, row, rows)
-            chosen = _nearest(dists, k)
-            if dists[chosen[-1]] < part.min_weight:
-                return rows[chosen], dists[chosen]
-    dists = table.row_distances(model.weights, row)
-    chosen = _nearest(dists, k)
-    return chosen, dists[chosen]
+    if part is None:
+        return None
+    key = tuple([table.encoding[c][1].get(row[c]) for c in part.columns])
+    span = part.groups.get(key)
+    return span if span is not None and span.stop - span.start >= k else None
+
+
+def _one_nearest(model: TrainedModel, row: tuple, k: int) -> tuple:
+    """The search of ``_k_nearest`` for one query row, without its grouping
+    and blocks, which cost a single row more than they save."""
+    part, span = model.label_partition, _group(model, row, k)
+    if span is not None:
+        (chosen,), (near,) = _nearest(part.distances([row], span), k)
+        if near[-1] < part.min_weight:
+            return part.order[span][chosen][None], near[None]
+    (chosen,), (near,) = _nearest(
+        model.train_covariates.row_distances(model.weights, [row]), k
+    )
+    return chosen[None], near[None]
+
+
+def _k_nearest(model: TrainedModel, rows: list, k: int) -> tuple:
+    """The k nearest training rows to each of m validated covariate rows,
+    nearest first, and their distances, as (m, k) arrays.  The rows of one
+    label group are measured against it in blocks; those whose group does
+    not provably hold their k nearest, in blocks against every training
+    row."""
+    if len(rows) == 1:
+        return _one_nearest(model, rows[0], k)
+    part = model.label_partition
+    ids = np.empty((len(rows), k), dtype=np.intp)
+    dists = np.empty((len(rows), k), dtype=float)
+    full, groups = [], {}
+    for i, row in enumerate(rows):
+        span = _group(model, row, k)
+        if span is None:
+            full.append(i)
+        else:
+            groups.setdefault(span.start, (span, []))[1].append(i)
+    for span, members in groups.values():
+        order = part.order[span]
+        for block in _blocks(members, span.stop - span.start):
+            chosen, near = _nearest(part.distances([rows[i] for i in block], span), k)
+            for i, c, d in zip(block, chosen, near):
+                if d[-1] < part.min_weight:
+                    ids[i], dists[i] = order[c], d
+                else:
+                    full.append(i)
+    table = model.train_covariates
+    for block in _blocks(full, len(table)):
+        ids[block], dists[block] = _nearest(
+            table.row_distances(model.weights, [rows[i] for i in block]), k
+        )
+    return ids, dists
 
 
 def rank_neighbors(model: TrainedModel, u_row) -> np.ndarray:
     """Training indices ordered nearest first, ties broken by index: the
     k = n case of the nearest-row search."""
     row = model.train_covariates.validate_row(u_row)
-    return _k_nearest(model, row, model.n_train)[0]
+    return _k_nearest(model, [row], model.n_train)[0][0]
 
 
 def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
@@ -85,7 +159,7 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
         raise ValueError(
             f"predictor matrix has shape {X.shape}, expected (m, {model.n_predictors})"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("predictors contain non-finite values")
     table = model.train_covariates
     rows = [table.validate_row(row) for row in covariate_rows]
@@ -93,17 +167,23 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
         raise ValueError("predictor rows and covariate rows must align")
     kn = min(model.hyper.n_neighbors, model.n_train)
     fact = model.factorization
-    picks = []
     # an overflowed distance ranks farthest and an overflowed score is
     # refused where it is written, so neither needs a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in rows:
-            chosen, dists = _k_nearest(model, row, kn)
-            columns = fact.dictionary.T @ fact.loadings[:, np.sort(chosen)]
-            picks.append((columns.sum(axis=1) / kn, chosen, dists))
-        z = np.array([x @ c for x, (c, _, _) in zip(X, picks)], dtype=float)
+        ids, dists = _k_nearest(model, rows, kn)
+        # each query's (q, k) neighbor loadings, contiguous, make one gemm of
+        # the same shape and layout as a single row's
+        loadings = np.ascontiguousarray(
+            fact.loadings[:, np.sort(ids, axis=1)].transpose(1, 0, 2)
+        )
+        coefficients = np.matmul(fact.dictionary.T, loadings).sum(axis=2) / kn
+        # one dot product per row, the same call as a single row's x @ c
+        z = (X[:, None, :] @ coefficients[:, :, None]).ravel()
     y_hat = sigmoid(z) if model.task == CLASSIFICATION else z
-    return [Prediction(c, float(y), ids, d) for (c, ids, d), y in zip(picks, y_hat)]
+    return [
+        Prediction(c, float(y), i, d)
+        for c, y, i, d in zip(coefficients, y_hat, ids, dists)
+    ]
 
 
 def predict_point(model: TrainedModel, x, u_row) -> Prediction:

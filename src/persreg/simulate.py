@@ -133,7 +133,7 @@ def score_predictions(y_pred, y_true, task=REGRESSION) -> dict:
     """``mse`` and squared-Pearson ``r2`` of predictions against responses,
     with ``r2_degenerate`` only when R^2 is undefined (reported as 0).  A
     classification task adds ``auroc`` and ``accuracy`` at threshold 0.5
-    and requires 0/1 responses."""
+    and requires 0/1 responses.  Empty input has no score and is refused."""
     y_pred = np.asarray(y_pred, dtype=float)
     y_true = np.asarray(y_true, dtype=float)
     if y_pred.shape != y_true.shape:
@@ -141,9 +141,9 @@ def score_predictions(y_pred, y_true, task=REGRESSION) -> dict:
             f"predictions of shape {y_pred.shape} do not match responses of "
             f"shape {y_true.shape}"
         )
-    scores: dict = {
-        "mse": float(np.mean((y_pred - y_true) ** 2)) if y_true.size else 0.0
-    }
+    if y_true.size == 0:
+        raise ValueError("no predictions to score")
+    scores: dict = {"mse": float(np.mean((y_pred - y_true) ** 2))}
     # fewer than two values, or a constant vector, leave R^2 undefined
     if y_pred.size < 2 or float(np.std(y_pred)) == 0.0 or float(np.std(y_true)) == 0.0:
         scores["r2"], scores["r2_degenerate"] = 0.0, True

@@ -1,12 +1,12 @@
 """Independent reference implementations used to check the library.
 
 These deliberately recompute things the slow, obvious way: plain double
-loops for neighbor queries and covariate distances, scalar accumulation
-for the distance-matching terms (walking ordered pairs ascending and
-mirroring the library's documented accumulation order so exact comparison
-is meaningful), and central finite differences for gradients.  The one
-helper here that is not a reference, ``normalize_dictionary``, is a
-post-hoc rescaling that only the tests use.
+loops for neighbor queries, nearest training rows and covariate distances,
+scalar accumulation for the distance-matching terms (walking ordered pairs
+ascending and mirroring the library's documented accumulation order so
+exact comparison is meaningful), and central finite differences for
+gradients.  The one helper here that is not a reference,
+``normalize_dictionary``, is a post-hoc rescaling that only the tests use.
 """
 
 from __future__ import annotations
@@ -72,6 +72,29 @@ def covariate_distance_matrices(rows, kinds) -> list:
                     mat[i, j] = 1.0 if str(a) != str(b) else 0.0
         mats.append(mat)
     return mats
+
+
+def brute_nearest(model, row, k: int) -> tuple:
+    """The k nearest training rows to one covariate row, nearest first with
+    ties to the lower index, and their distances, by a plain double loop
+    over training rows and covariates.  Each distance adds weight times term
+    onto 0.0 in column order, skipping zero weights, as the library does."""
+    table = model.train_covariates
+    dists = []
+    for j in range(len(table)):
+        total = 0.0
+        for c, (w, kind) in enumerate(zip(model.weights, table.kinds)):
+            if w == 0.0:
+                continue
+            a, b = table.columns[c][j], row[c]
+            if kind == "continuous":
+                term = abs(float(a) - float(b))
+            else:
+                term = 1.0 if str(a) != str(b) else 0.0
+            total += term * float(w)
+        dists.append(total)
+    order = sorted(range(len(dists)), key=lambda j: (dists[j], j))[:k]
+    return order, [dists[j] for j in order]
 
 
 def _ordered_pairs(sets):

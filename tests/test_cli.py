@@ -568,6 +568,21 @@ class TestEvaluate:
             "--out", tmp_path / "m.json",
         ) == 2
 
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_empty_input_is_input_error(self, tmp_path, task, capsys):
+        # a header-only file has no rows to score: no perfect mse of 0.0
+        pred = tmp_path / "p.csv"
+        self.write_predictions(pred, [])
+        truth = tmp_path / "y.csv"
+        truth.write_text("y\n")
+        out = tmp_path / "m.json"
+        assert run_cli(
+            "evaluate", "--predictions", pred, "--responses", truth, "--out", out,
+            "--task", task,
+        ) == 2
+        assert not out.exists()
+        assert "no predictions to score" in capsys.readouterr().err
+
     def test_short_prediction_row_is_input_error(self, tmp_path):
         pred = tmp_path / "p.csv"
         pred.write_text("row_id,y_hat,neighbor_ids\n0,0.5,0\n1\n")

@@ -81,30 +81,37 @@ class TestFeatureDistance:
 
 
 class TestWeightedDistance:
-    """The learned distance from one covariate row, ``row_distances``."""
+    """The learned distance from a block of covariate rows, ``row_distances``."""
 
     def test_equal_rows_give_zero(self):
         table = CovariateTable.from_columns(
             [np.array([0.5, 1.0]), np.array(["x", "y"], dtype=object)],
             ["continuous", "categorical"],
         )
-        got = table.row_distances(np.array([1.0, 7.0]), (0.5, "x"))
-        assert np.array_equal(got, [0.0, 7.5])
+        got = table.row_distances(np.array([1.0, 7.0]), [(0.5, "x"), (1.0, "y")])
+        assert np.array_equal(got, [[0.0, 7.5], [7.5, 0.0]])
 
     def test_hand_value(self):
         table = CovariateTable.continuous([[0.0, 0.0]])
-        got = table.row_distances(np.array([1.0, 2.0]), (0.5, 1.0))
-        assert np.array_equal(got, [2.5])
+        got = table.row_distances(np.array([1.0, 2.0]), [(0.5, 1.0)])
+        assert np.array_equal(got, [[2.5]])
 
     def test_zero_weights(self):
         table = CovariateTable.continuous([[-5.0]])
-        assert np.array_equal(table.row_distances(np.zeros(1), (3.0,)), [0.0])
+        got = table.row_distances(np.zeros(1), [(3.0,), (4.0,)])
+        assert np.array_equal(got, [[0.0], [0.0]])
+
+    def test_no_queries(self):
+        table = CovariateTable.continuous([[0.0], [1.0]])
+        assert table.row_distances(np.ones(1), []).shape == (0, 2)
 
     def test_zero_weight_column_is_skipped(self):
         # the huge column's differences overflow to inf, and inf * 0 is NaN
         table = CovariateTable.continuous([[0.0, 1.7e308], [0.5, -1.7e308]])
-        got = table.row_distances(np.array([1.0, 0.0]), (0.25, -1.7e308))
-        assert np.array_equal(got, [0.25, 0.25])
+        got = table.row_distances(
+            np.array([1.0, 0.0]), [(0.25, -1.7e308), (0.25, 1.7e308)]
+        )
+        assert np.array_equal(got, [[0.25, 0.25], [0.25, 0.25]])
 
     @given(st.integers(0, 2**32 - 1))
     def test_row_subset_is_the_full_pass_at_those_rows(self, seed):
@@ -112,34 +119,53 @@ class TestWeightedDistance:
         n = int(rng.integers(1, 12))
         table = mixed_table(rng, n)
         weights = rng.choice([0.0, 0.3, 1.0], size=2)
-        rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-        for label in ("a", "z"):
-            row = (float(rng.standard_normal()), label)
-            full = table.row_distances(weights, row)
-            assert np.array_equal(table.row_distances(weights, row, rows), full[rows])
+        start = int(rng.integers(0, n + 1))
+        span = slice(start, int(rng.integers(start, n + 1)))
+        for labels in (["a"], ["z", "b", "a"]):
+            queries = [(float(rng.standard_normal()), label) for label in labels]
+            full = table.row_distances(weights, queries)
+            assert np.array_equal(table.row_distances(weights, queries, span),
+                                  full[:, span])
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_block_rows_are_the_single_row_passes(self, seed):
+        # a query's distances do not depend on the block it is measured in
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        table = mixed_table(rng, n)
+        weights = rng.choice([0.0, 0.3, 1.0], size=2)
+        queries = [(float(rng.integers(-2, 3)) / 2.0, str(rng.choice(list("abz"))))
+                   for _ in range(int(rng.integers(2, 7)))]
+        block = table.row_distances(weights, queries)
+        assert block.shape == (len(queries), n)
+        for q, got in zip(queries, block):
+            assert np.array_equal(table.row_distances(weights, [q])[0], got)
 
     def test_length_mismatch(self):
         table = CovariateTable.continuous([[0.0, 1.0]])
         with pytest.raises(ValueError, match="every covariate"):
-            table.row_distances(np.ones(2), (0.0,))
+            table.row_distances(np.ones(2), [(0.0,)])
         with pytest.raises(ValueError, match="every covariate"):
-            table.row_distances(np.ones(1), (0.0, 1.0))
+            table.row_distances(np.ones(1), [(0.0, 1.0)])
+        with pytest.raises(ValueError, match="every covariate"):
+            table.row_distances(np.ones(2), [(0.0, 1.0), (0.0,)])
 
     @given(st.integers(0, 2**32 - 1))
     def test_mixed_kinds_match_oracle(self, seed):
         # added column by column, in column order: bitwise the weighted rows
-        # of the dense per-covariate matrices
+        # of the dense per-covariate matrices, one query row or all at once
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         table = mixed_table(rng, n)
         weights = rng.uniform(0.0, 2.0, size=2)
-        mats = oracle_matrices(table)
+        want = np.zeros((n, n))
+        for w, mat in zip(weights, oracle_matrices(table)):
+            want += w * mat
+        rows = [table.row(i) for i in range(n)]
+        assert np.array_equal(table.row_distances(weights, rows), want)
         for i in range(n):
-            want = np.zeros(n)
-            for w, mat in zip(weights, mats):
-                want += w * mat[i]
-            got = table.row_distances(weights, table.row(i))
-            assert np.array_equal(got, want)
+            got = table.row_distances(weights, [rows[i]])
+            assert np.array_equal(got, want[i:i + 1])
 
     @given(
         st.lists(st.floats(0, 10), min_size=2, max_size=5),
@@ -155,8 +181,7 @@ class TestWeightedDistance:
         table = CovariateTable.from_columns(
             list(zip(*rows)), ["continuous"] * (k - 1) + ["categorical"]
         )
-        weights = np.asarray(weights)
-        d = [table.row_distances(weights, r) for r in rows]
+        d = table.row_distances(np.asarray(weights), rows)
         duv, dvw, duw = d[0][1], d[1][2], d[0][2]
         assert duv >= 0.0
         assert d[0][0] == 0.0
@@ -204,7 +229,7 @@ class TestPrecomputeCache:
         total = 0.0
         for weight, dist in zip(w, table.pair_distances([1], [4])):
             total += weight * dist[0]
-        assert total == table.row_distances(w, table.row(1))[4]
+        assert total == table.row_distances(w, [table.row(1)])[0, 4]
 
     def test_no_pairs(self):
         none = np.empty(0, dtype=np.intp)
@@ -216,7 +241,7 @@ class TestPrecomputeCache:
         assert precompute_cache(table) is table
         encoding = vars(table)["encoding"]
         table.pair_distances([0], [1])
-        table.row_distances(np.ones(2), table.row(0))
+        table.row_distances(np.ones(2), [table.row(0)])
         assert precompute_cache(table).encoding is encoding
 
     @given(st.integers(0, 2**32 - 1))
@@ -240,7 +265,7 @@ class TestPrecomputeCache:
             want = covariate_distance_matrices(rows, table.kinds)
             expect = weights[0] * want[0][m, :m]
             expect += weights[1] * want[1][m, :m]
-            assert np.array_equal(table.row_distances(weights, row), expect)
+            assert np.array_equal(table.row_distances(weights, [row])[0], expect)
 
     def test_tables_encode_nothing_until_used(self, tmp_path):
         table = mixed_table(np.random.default_rng(2), 5)

@@ -4,7 +4,9 @@ Speed work must not change what a seeded fit produces.  Each fit case
 hashes (sha256) the serialized model together with the per-iteration trace
 records of one small fit; each pipeline case hashes every file that one
 small seeded run of the command-line tools leaves behind; the pair case
-hashes the neighbor pairs one training step finds for seeded loadings.  The hashes were recorded with numpy 2.4.6 and
+hashes the neighbor pairs one training step finds for seeded loadings; the
+batch case hashes every field of ``predict_batch`` over seeded random
+models.  The hashes were recorded with numpy 2.4.6 and
 Python 3.11 on x86-64 Linux; another numpy build or BLAS may round the
 SVD or the matrix products differently, and then every hash moves at once.
 A change that moves only some of them changed the arithmetic.
@@ -22,10 +24,15 @@ from persreg.model import (
     CATEGORICAL,
     CLASSIFICATION,
     CONTINUOUS,
+    TASKS,
     CovariateTable,
     Dataset,
+    Factorization,
+    HyperParams,
+    TrainedModel,
 )
 from persreg.objective import resolve_pairs
+from persreg.predictor import predict_batch
 
 
 def _continuous_regression():
@@ -254,4 +261,72 @@ def pairs_digest():
 def test_neighbor_pairs_are_pinned():
     assert pairs_digest() == (
         "a12fe66f47e7e95736eacd80b2c9329d3de55358eb4104303a3a178964abfaed"
+    )
+
+
+def random_prediction_case(rng, n=None, m=None, n_labels=3):
+    """A seeded model and query batch over up to two continuous and two
+    categorical covariates.  Values on a quarter grid and weights drawn from
+    {0, 0.25, 0.5, 1} make distance ties, zero-weight columns, label groups
+    below k and k-th distances equal to a label weight common; about one
+    query in five is a training row, and query labels include one that no
+    training row carries."""
+    n = int(rng.integers(1, 30)) if n is None else n
+    m = int(rng.integers(0, 61)) if m is None else m
+    n_cont = int(rng.integers(0, 3))
+    n_cat = int(rng.integers(0 if n_cont else 1, 3))
+    kinds = [CONTINUOUS] * n_cont + [CATEGORICAL] * n_cat
+    labels = [f"l{i}" for i in range(n_labels)]
+    cols = [rng.integers(0, 5, size=n) / 4.0 for _ in range(n_cont)]
+    cols += [np.array(rng.choice(labels, size=n), dtype=object) for _ in range(n_cat)]
+    table = CovariateTable.from_columns(cols, kinds)
+    p = int(rng.integers(1, 4))
+    q = int(rng.integers(1, min(p, n) + 1))
+    model = TrainedModel(
+        factorization=Factorization(loadings=rng.standard_normal((q, n)),
+                                    dictionary=rng.standard_normal((q, p))),
+        weights=rng.choice([0.0, 0.25, 0.5, 1.0], size=len(kinds)),
+        population_coef=rng.standard_normal(p),
+        train_covariates=table,
+        task=str(rng.choice(TASKS)),
+        hyper=HyperParams(n_neighbors=int(rng.integers(1, 6))),
+    )
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.2:
+            rows.append(table.row(int(rng.integers(n))))
+            continue
+        row = [float(rng.integers(-1, 6)) / 4.0 for _ in range(n_cont)]
+        row += [str(rng.choice(labels + ["unseen"])) for _ in range(n_cat)]
+        rows.append(tuple(row))
+    return model, 4.0 * rng.standard_normal((m, p)), rows
+
+
+def batch_cases():
+    """150 small random cases, then two large batches: 800 queries against
+    500 training rows, which the search splits into several distance blocks
+    of label groups and of full passes, and 700 queries against 300."""
+    rng = np.random.default_rng(20)
+    for _ in range(150):
+        yield random_prediction_case(rng)
+    yield random_prediction_case(rng, n=500, m=800, n_labels=2)
+    yield random_prediction_case(rng, n=300, m=700)
+
+
+def batch_digest():
+    """sha256 over the neighbor ids, distances, coefficients and output of
+    every prediction of ``batch_cases``, with the arrays' dtypes."""
+    h = hashlib.sha256()
+    for model, X, rows in batch_cases():
+        for pred in predict_batch(model, X, rows):
+            for arr in (pred.neighbor_ids, pred.neighbor_dists, pred.coefficients):
+                h.update(f"{arr.dtype.str}{arr.shape}".encode() + b"\0")
+                h.update(np.ascontiguousarray(arr).tobytes() + b"\0")
+            h.update(repr(pred.y_hat).encode() + b"\0")
+    return h.hexdigest()
+
+
+def test_batch_predictions_are_pinned():
+    assert batch_digest() == (
+        "436dfd6b46e10e9f8f00283f061f170819af11f8f54a8310618ac2e3bca5f49b"
     )

@@ -11,9 +11,11 @@ from persreg.model import (
     TrainedModel,
     center_of_mass,
 )
+from persreg import predictor
 from persreg.predictor import predict_batch, predict_point, rank_neighbors
 
-from oracles import covariate_distance_matrices
+from oracles import brute_nearest, covariate_distance_matrices
+from test_pinned_results import random_prediction_case
 
 
 def build_model(theta_columns, covariates, weights=None, n_neighbors=3,
@@ -277,23 +279,28 @@ class TestPrunedSearch:
         ((0.0, "b"), 3, [1, 3, 0], [3, 8]),
     ], ids=["pruned", "unseen-label", "group-below-k", "kth-at-label-weight"])
     def test_each_path_matches_the_full_sort(self, monkeypatch, u, k, ids, passes):
+        # each pass of the distance kernel is recorded as the shape of its
+        # block: a batch of three copies of the query is one block per pass
         model = self.model(k)
         full = self.U0 - u[0]
         full = np.abs(full) + 0.5 * (self.LABELS != u[1])
         seen = []
         row_distances = CovariateTable.row_distances
 
-        def counted(table, weights, row, rows=None):
-            seen.append(len(table) if rows is None else len(rows))
-            return row_distances(table, weights, row, rows)
+        def counted(table, weights, queries, rows=None):
+            out = row_distances(table, weights, queries, rows)
+            seen.append(out.shape)
+            return out
 
         monkeypatch.setattr(CovariateTable, "row_distances", counted)
         pred = predict_point(model, np.ones(2), u)
-        assert seen == passes
+        assert seen == [(1, width) for width in passes]
         assert list(pred.neighbor_ids) == ids
         assert np.array_equal(pred.neighbor_dists, full[ids])
         X = np.random.default_rng(9).standard_normal((3, 2))
+        seen.clear()
         batch = predict_batch(model, X, [u] * 3)
+        assert seen == [(3, width) for width in passes]
         for x, got in zip(X, batch):
             single = predict_point(model, x, u)
             assert got.y_hat == single.y_hat
@@ -306,11 +313,44 @@ class TestPrunedSearch:
         part = model.label_partition
         assert model.label_partition is part
         assert part.columns == (1,) and part.min_weight == 0.5
-        assert np.array_equal(part.weights, [1.0, 0.0])
-        assert [list(rows) for rows in part.groups.values()] == [
+        assert part.searched == (0,) and np.array_equal(part.weights, [1.0])
+        assert list(part.groups) == [(0,), (1,), (2,)]
+        assert [list(part.order[span]) for span in part.groups.values()] == [
             [0, 2, 4, 6], [1, 3, 5], [7]]
+        # the searched column, copied once in group order
+        assert np.array_equal(part.table.columns[0], self.U0[part.order])
         again = dataclasses.replace(model, hyper=HyperParams(n_neighbors=3))
         assert "label_partition" not in vars(again)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_groups_match_a_grouping_by_label_tuples(self, seed):
+        # up to three keyed columns with up to 40 labels each: groups in
+        # ascending order of their code tuples, rows ascending in each
+        rng = np.random.default_rng(seed)
+        n, n_cat = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+        labels = [np.array([f"l{v}" for v in rng.integers(0, rng.integers(1, 41), n)],
+                           dtype=object) for _ in range(n_cat)]
+        cols = [rng.standard_normal(n), rng.standard_normal(n)] + labels
+        weights = rng.choice([0.0, 0.5, 1.0], size=len(cols))
+        weights[2] = 1.0
+        model = build_model(np.zeros((1, n)), cols, weights=weights,
+                            kinds=["continuous"] * 2 + ["categorical"] * n_cat)
+        part = model.label_partition
+        encoding = model.train_covariates.encoding
+        keyed = tuple(c for c in range(2, len(cols)) if weights[c] > 0)
+        want: dict = {}
+        for i in range(n):
+            want.setdefault(tuple(int(encoding[c][0][i]) for c in keyed), []).append(i)
+        assert part.columns == keyed
+        assert list(part.groups) == sorted(want)
+        got = {key: list(part.order[span]) for key, span in part.groups.items()}
+        assert got == want
+        assert part.searched == tuple(c for c in (0, 1) if weights[c] > 0)
+        if part.searched:
+            for c, col in zip(part.searched, part.table.columns):
+                assert np.array_equal(col, cols[c][part.order])
+        else:
+            assert part.table is None
 
     def test_zero_weight_labels_are_not_grouped(self):
         model = build_model(np.zeros((1, 8)), [self.U0, self.LABELS],
@@ -327,3 +367,30 @@ class TestPrunedSearch:
         assert list(pred.neighbor_ids) == [0, 1]
         assert np.array_equal(pred.neighbor_dists, [0.05, 0.05])
         assert list(rank_neighbors(model, (0.05, -1.7e308))) == list(range(6))
+
+
+class TestBlockSearch:
+    """``predict_batch`` searches in blocks of at most ``BLOCK_CELLS`` query
+    rows times training rows; a predict_point loop searches one row at a
+    time.  At 1 and 7 cells, block boundaries fall inside label groups and
+    inside the full-pass fallback."""
+
+    @pytest.mark.parametrize("cells", [1, 7, predictor.BLOCK_CELLS])
+    def test_matches_brute_force_and_single_rows(self, monkeypatch, cells):
+        monkeypatch.setattr(predictor, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            model, X, rows = random_prediction_case(rng)
+            kn = min(model.hyper.n_neighbors, model.n_train)
+            batch = predict_batch(model, X, rows)
+            assert len(batch) == len(rows)
+            table = model.train_covariates
+            for x, row, got in zip(X, rows, batch):
+                ids, dists = brute_nearest(model, table.validate_row(row), kn)
+                assert list(got.neighbor_ids) == ids
+                assert list(got.neighbor_dists) == dists
+                single = predict_point(model, x, row)
+                assert got.y_hat == single.y_hat
+                assert np.array_equal(got.neighbor_ids, single.neighbor_ids)
+                assert np.array_equal(got.neighbor_dists, single.neighbor_dists)
+                assert np.array_equal(got.coefficients, single.coefficients)
