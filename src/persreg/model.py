@@ -3,11 +3,12 @@ datasets, the factorized per-sample coefficients, and hyperparameters.
 
 The covariate distances read the table in an encoded form, built once per
 table on the first distance query: continuous columns as float64, each
-categorical column as integer codes.  Training reads per-covariate distances
-only at the neighbor pairs of each step.  Prediction reads them in bounded
-blocks from a few query rows to the samples of one label group, whose
-searched columns ``TrainedModel.label_partition`` keeps contiguous, or to
-every sample, so no pairwise matrix over the covariates is ever built.
+categorical column as integer codes, and each query row once into the same
+codes (``CovariateTable.encode_row``).  Training reads per-covariate
+distances only at the neighbor pairs of each step.  Prediction reads them in
+bounded blocks from a few query rows to the samples of one label group,
+which ``TrainedModel.label_partition`` keeps contiguous, or to every sample,
+so no pairwise matrix over the covariates is ever built.
 
 Per-sample coefficient vectors are never stored as a dense p x n matrix on
 their own.  They are always derived from a shared dictionary (q x p) and
@@ -148,13 +149,12 @@ class CovariateTable:
         return out
 
     def row_distances(self, weights, queries, rows=None) -> np.ndarray:
-        """(m, n) learned distances from the m covariate rows ``queries`` to
-        every row of the table, or (m, len) to the table rows in the slice
-        ``rows``: the per-covariate distances times ``weights``, added column
-        by column onto +0.0.  A zero-weight column is skipped, as its term is
-        +0.0 on finite values, so a huge value there cannot make an
-        ``inf * 0`` NaN.  Each query follows the schema (``validate_row``); a
-        label the table lacks gets code -1, so it differs from every row."""
+        """(m, n) learned distances from the m encoded rows ``queries``
+        (``encode_row``) to every row of the table, or (m, len) to the table
+        rows in the slice ``rows``: the per-covariate distances times
+        ``weights``, added column by column onto +0.0.  A zero-weight column
+        is skipped, as its term is +0.0 on finite values, so a huge value
+        there cannot make an ``inf * 0`` NaN."""
         if len(weights) != self.width or any(len(q) != self.width for q in queries):
             raise ValueError("weights and rows must cover every covariate")
         n = len(self) if rows is None else len(self.columns[0][rows])
@@ -167,13 +167,8 @@ class CovariateTable:
         for c, (w, (vals, codebook)) in enumerate(zip(weights, self.encoding)):
             if w == 0.0:
                 continue
-            if one is not None:
-                values = one[c] if codebook is None else codebook.get(one[c], -1)
-            elif codebook is None:
-                values = np.array([q[c] for q in queries], dtype=float)[:, None]
-            else:
-                codes = [codebook.get(q[c], -1) for q in queries]
-                values = np.array(codes)[:, None]
+            values = (one[c] if one is not None
+                      else np.array([q[c] for q in queries])[:, None])
             # a (1, n) view broadcasts against the values faster than (n,)
             vals = vals[None] if rows is None else vals[None, rows]
             if codebook is None:
@@ -196,21 +191,26 @@ class CovariateTable:
             names=self.names,
         )
 
-    def validate_row(self, row) -> tuple:
-        """Coerce one covariate row to this table's schema."""
+    def encode_row(self, row) -> tuple:
+        """One query row as the distances read it: each continuous entry a
+        finite float, each label (compared as a string) its code in
+        ``encoding``, or -1, unequal to every row's, when the table lacks it."""
         row = tuple(row)
         if len(row) != self.width:
             raise ValueError(
                 f"covariate row has {len(row)} entries, schema expects {self.width}"
             )
         out = []
-        for idx, (value, kind) in enumerate(zip(row, self.kinds)):
-            if kind == CONTINUOUS:
+        for idx, (value, (_, codebook)) in enumerate(zip(row, self.encoding)):
+            if codebook is not None:
+                out.append(codebook.get(str(value), -1))
+                continue
+            try:
                 value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"covariate {idx} is non-finite")
-            else:
-                value = str(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"covariate {idx} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"covariate {idx} is non-finite")
             out.append(value)
         return tuple(out)
 
@@ -398,29 +398,19 @@ class LabelPartition:
 
     Two rows of different groups differ on one of those covariates, so their
     distance is at least ``min_weight``.  Within a group the keyed covariates
-    add exactly zero, so the other positive-weight covariates, ``searched``
-    (all continuous), give the same distances there.  ``table`` holds the
+    add exactly zero, so the other positive-weight covariates (all
+    continuous) give the same distances there.  ``table`` holds those
     searched columns in the order of ``order``, so a group is one contiguous
-    slice of each, and ``weights`` their weights; ``table`` is None when no
-    covariate is searched.
+    slice of each, and zeros in the model's other columns, whose ``weights``
+    are zero: ``table.row_distances(weights, rows, span)`` measures a group.
     """
 
     columns: tuple
     groups: dict
     order: np.ndarray
-    searched: tuple
-    table: CovariateTable | None
+    table: CovariateTable
     weights: np.ndarray
     min_weight: float
-
-    def distances(self, rows, span: slice) -> np.ndarray:
-        """(m, len) distances from m validated covariate rows to the group
-        rows in the slice ``span`` of ``order``: the searched covariates'
-        terms, as the keyed ones add zero there."""
-        if self.table is None:
-            return np.zeros((len(rows), span.stop - span.start))
-        queries = [tuple([row[c] for c in self.searched]) for row in rows]
-        return self.table.row_distances(self.weights, queries, span)
 
 
 @dataclass(frozen=True)
@@ -461,11 +451,12 @@ class TrainedModel:
         categorical covariates; None when there is no such covariate.  Built
         on the first prediction and kept for the model's lifetime."""
         table = self.train_covariates
-        positive = [c for c, w in enumerate(self.weights) if w > 0.0]
-        keyed = tuple(c for c in positive if table.kinds[c] == CATEGORICAL)
+        keyed = tuple(c for c, w in enumerate(self.weights)
+                      if w > 0.0 and table.kinds[c] == CATEGORICAL)
         if not keyed:
             return None
-        searched = tuple(c for c in positive if c not in keyed)
+        weights = self.weights.copy()
+        weights[list(keyed)] = 0.0
         # one group code per row, lexicographic in the keyed codes; ranking it
         # again after each column keeps it below n, so it cannot overflow
         group = np.zeros(len(table), dtype=np.intp)
@@ -480,15 +471,14 @@ class TrainedModel:
             tuple(int(table.encoding[c][0][order[a]]) for c in keyed): slice(a, b)
             for a, b in zip(starts, stops)
         }
-        ordered = [table.columns[c][order] for c in searched]
+        ordered = [col[order] if w > 0.0 else np.zeros(len(table))
+                   for col, w in zip(table.columns, weights)]
         return LabelPartition(
             columns=keyed,
             groups=groups,
             order=order,
-            searched=searched,
-            table=(CovariateTable.from_columns(ordered, (CONTINUOUS,) * len(ordered))
-                   if searched else None),
-            weights=self.weights[list(searched)],
+            table=CovariateTable.from_columns(ordered, (CONTINUOUS,) * table.width),
+            weights=weights,
             min_weight=float(self.weights[list(keyed)].min()),
         )
 

@@ -3,6 +3,8 @@ training samples under the learned covariate metric.
 
 Neighbor selection sees only the covariates, never the predictors, so the
 assembled coefficients stay interpretable with respect to the predictors.
+Each query row is encoded once (``CovariateTable.encode_row``), and its
+label codes both find its group and feed every distance pass.
 
 The search for the k nearest training rows is exact and prunes by label.
 A distance is a sum of nonnegative per-covariate terms and float addition
@@ -20,17 +22,16 @@ the lower training index, and both paths return the same neighbors,
 distances and predictions bit for bit.
 
 A batch is searched in blocks.  Its queries are grouped by label, and each
-group's queries are measured against that group's rows, which the
-partition keeps as one contiguous slice of its searched columns, as one
-(queries, rows) block; the queries its group cannot answer are measured
-against every training row in blocks of their own.  Every block holds at
-most ``BLOCK_CELLS`` distances, so the search's distance arrays stay
-bounded whatever the batch size.  A single query skips the grouping and
-goes straight to its group.  The coefficients of the whole batch come from
-one stacked matrix product that makes, per query, the same product of the
-same layout as a single query's, so a batch and a loop of single
-predictions agree bit for bit.  That product is not chunked: it holds the
-batch's neighbor loadings, queries x factors x k floats, at once.
+group's queries are measured against that group's contiguous rows in the
+partition's table as one (queries, rows) block; the queries its group
+cannot answer are measured against every training row in blocks of their
+own.  Every block holds at most ``BLOCK_CELLS`` distances, so the search's
+distance arrays stay bounded whatever the batch size.  A single query skips
+the grouping and goes straight to its group.  The coefficients of the whole
+batch come from one stacked matrix product that makes, per query, the same
+product of the same layout as a single query's, so a batch and a loop of
+single predictions agree bit for bit.  That product is not chunked: it
+holds the batch's neighbor loadings, queries x factors x k floats, at once.
 """
 
 from __future__ import annotations
@@ -78,14 +79,13 @@ def _blocks(members: list, width: int) -> list:
 
 
 def _group(model: TrainedModel, row: tuple, k: int) -> slice | None:
-    """The slice of ``label_partition.order`` holding the row's label group,
-    or None when the model has no partition, the row carries a label unseen
-    in training, or its group holds fewer than k rows."""
-    table, part = model.train_covariates, model.label_partition
+    """The slice of ``label_partition.order`` holding the encoded row's
+    label group, or None when the model has no partition, the row carries a
+    label unseen in training (code -1), or its group holds fewer than k rows."""
+    part = model.label_partition
     if part is None:
         return None
-    key = tuple([table.encoding[c][1].get(row[c]) for c in part.columns])
-    span = part.groups.get(key)
+    span = part.groups.get(tuple([row[c] for c in part.columns]))
     return span if span is not None and span.stop - span.start >= k else None
 
 
@@ -94,7 +94,8 @@ def _one_nearest(model: TrainedModel, row: tuple, k: int) -> tuple:
     and blocks, which cost a single row more than they save."""
     part, span = model.label_partition, _group(model, row, k)
     if span is not None:
-        (chosen,), (near,) = _nearest(part.distances([row], span), k)
+        dists = part.table.row_distances(part.weights, [row], span)
+        (chosen,), (near,) = _nearest(dists, k)
         if near[-1] < part.min_weight:
             return part.order[span][chosen][None], near[None]
     (chosen,), (near,) = _nearest(
@@ -104,7 +105,7 @@ def _one_nearest(model: TrainedModel, row: tuple, k: int) -> tuple:
 
 
 def _k_nearest(model: TrainedModel, rows: list, k: int) -> tuple:
-    """The k nearest training rows to each of m validated covariate rows,
+    """The k nearest training rows to each of m encoded covariate rows,
     nearest first, and their distances, as (m, k) arrays.  The rows of one
     label group are measured against it in blocks; those whose group does
     not provably hold their k nearest, in blocks against every training
@@ -124,8 +125,9 @@ def _k_nearest(model: TrainedModel, rows: list, k: int) -> tuple:
     for span, members in groups.values():
         order = part.order[span]
         for block in _blocks(members, span.stop - span.start):
-            chosen, near = _nearest(part.distances([rows[i] for i in block], span), k)
-            for i, c, d in zip(block, chosen, near):
+            queries = [rows[i] for i in block]
+            measured = part.table.row_distances(part.weights, queries, span)
+            for i, c, d in zip(block, *_nearest(measured, k)):
                 if d[-1] < part.min_weight:
                     ids[i], dists[i] = order[c], d
                 else:
@@ -141,7 +143,7 @@ def _k_nearest(model: TrainedModel, rows: list, k: int) -> tuple:
 def rank_neighbors(model: TrainedModel, u_row) -> np.ndarray:
     """Training indices ordered nearest first, ties broken by index: the
     k = n case of the nearest-row search."""
-    row = model.train_covariates.validate_row(u_row)
+    row = model.train_covariates.encode_row(u_row)
     return _k_nearest(model, [row], model.n_train)[0][0]
 
 
@@ -161,8 +163,7 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
         )
     if not np.isfinite(X).all():
         raise ValueError("predictors contain non-finite values")
-    table = model.train_covariates
-    rows = [table.validate_row(row) for row in covariate_rows]
+    rows = [model.train_covariates.encode_row(row) for row in covariate_rows]
     if len(rows) != X.shape[0]:
         raise ValueError("predictor rows and covariate rows must align")
     kn = min(model.hyper.n_neighbors, model.n_train)

@@ -23,6 +23,7 @@ import numpy as np
 from .model import (
     CATEGORICAL,
     CONTINUOUS,
+    COVARIATE_KINDS,
     CovariateTable,
     Factorization,
     HyperParams,
@@ -193,7 +194,11 @@ def read_schema(path) -> tuple:
     entries = data["columns"]
     if not all(isinstance(e, dict) and {"name", "kind"} <= e.keys() for e in entries):
         raise ValueError(f"{path}: each schema column needs a 'name' and a 'kind'")
-    return [e["name"] for e in entries], [e["kind"] for e in entries]
+    names, kinds = [e["name"] for e in entries], [e["kind"] for e in entries]
+    for name, kind in zip(names, kinds):
+        if kind not in COVARIATE_KINDS:
+            raise ValueError(f"{path}: column {name!r} has unknown kind {kind!r}")
+    return names, kinds
 
 
 def dump_json(path, obj) -> None:

@@ -147,6 +147,17 @@ class TestTrain:
         assert run_cli(*train_args(sim_dir, out, "--schema", schema)) == 2
         assert not out.exists()
 
+    def test_schema_kind_typo_names_its_file_and_column(self, sim_dir, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        kinds = ["continuous", "continous", "continuous"]
+        schema.write_text(json.dumps(
+            {"columns": [{"name": f"u{i}", "kind": k} for i, k in enumerate(kinds)]}))
+        out = tmp_path / "f"
+        assert run_cli(*train_args(sim_dir, out, "--schema", schema)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {schema}: column 'u1' has unknown kind 'continous'")
+
     def test_schema_sets_the_kinds(self, sim_dir, tmp_path):
         schema = tmp_path / "schema.json"
         kinds = ["continuous", "categorical", "continuous"]

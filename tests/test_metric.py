@@ -69,7 +69,7 @@ class TestFeatureDistance:
         with pytest.raises(ValueError, match="non-finite"):
             CovariateTable.continuous([[np.nan], [0.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            CovariateTable.continuous([[0.0]]).validate_row((np.nan,))
+            CovariateTable.continuous([[0.0]]).encode_row((np.nan,))
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_metric_axioms_continuous(self, a, b):
@@ -81,14 +81,17 @@ class TestFeatureDistance:
 
 
 class TestWeightedDistance:
-    """The learned distance from a block of covariate rows, ``row_distances``."""
+    """The learned distance from a block of encoded covariate rows,
+    ``row_distances``."""
 
     def test_equal_rows_give_zero(self):
         table = CovariateTable.from_columns(
             [np.array([0.5, 1.0]), np.array(["x", "y"], dtype=object)],
             ["continuous", "categorical"],
         )
-        got = table.row_distances(np.array([1.0, 7.0]), [(0.5, "x"), (1.0, "y")])
+        queries = [table.encode_row(row) for row in [(0.5, "x"), (1.0, "y")]]
+        assert queries == [(0.5, 0), (1.0, 1)]
+        got = table.row_distances(np.array([1.0, 7.0]), queries)
         assert np.array_equal(got, [[0.0, 7.5], [7.5, 0.0]])
 
     def test_hand_value(self):
@@ -122,7 +125,8 @@ class TestWeightedDistance:
         start = int(rng.integers(0, n + 1))
         span = slice(start, int(rng.integers(start, n + 1)))
         for labels in (["a"], ["z", "b", "a"]):
-            queries = [(float(rng.standard_normal()), label) for label in labels]
+            queries = [table.encode_row((float(rng.standard_normal()), label))
+                       for label in labels]
             full = table.row_distances(weights, queries)
             assert np.array_equal(table.row_distances(weights, queries, span),
                                   full[:, span])
@@ -134,7 +138,8 @@ class TestWeightedDistance:
         n = int(rng.integers(1, 12))
         table = mixed_table(rng, n)
         weights = rng.choice([0.0, 0.3, 1.0], size=2)
-        queries = [(float(rng.integers(-2, 3)) / 2.0, str(rng.choice(list("abz"))))
+        queries = [table.encode_row((float(rng.integers(-2, 3)) / 2.0,
+                                     str(rng.choice(list("abz")))))
                    for _ in range(int(rng.integers(2, 7)))]
         block = table.row_distances(weights, queries)
         assert block.shape == (len(queries), n)
@@ -161,7 +166,7 @@ class TestWeightedDistance:
         want = np.zeros((n, n))
         for w, mat in zip(weights, oracle_matrices(table)):
             want += w * mat
-        rows = [table.row(i) for i in range(n)]
+        rows = [table.encode_row(table.row(i)) for i in range(n)]
         assert np.array_equal(table.row_distances(weights, rows), want)
         for i in range(n):
             got = table.row_distances(weights, [rows[i]])
@@ -181,7 +186,8 @@ class TestWeightedDistance:
         table = CovariateTable.from_columns(
             list(zip(*rows)), ["continuous"] * (k - 1) + ["categorical"]
         )
-        d = table.row_distances(np.asarray(weights), rows)
+        d = table.row_distances(np.asarray(weights),
+                                [table.encode_row(row) for row in rows])
         duv, dvw, duw = d[0][1], d[1][2], d[0][2]
         assert duv >= 0.0
         assert d[0][0] == 0.0
@@ -229,7 +235,7 @@ class TestPrecomputeCache:
         total = 0.0
         for weight, dist in zip(w, table.pair_distances([1], [4])):
             total += weight * dist[0]
-        assert total == table.row_distances(w, [table.row(1)])[0, 4]
+        assert total == table.row_distances(w, [table.encode_row(table.row(1))])[0, 4]
 
     def test_no_pairs(self):
         none = np.empty(0, dtype=np.intp)
@@ -241,7 +247,7 @@ class TestPrecomputeCache:
         assert precompute_cache(table) is table
         encoding = vars(table)["encoding"]
         table.pair_distances([0], [1])
-        table.row_distances(np.ones(2), [table.row(0)])
+        table.row_distances(np.ones(2), [table.encode_row(table.row(0))])
         assert precompute_cache(table).encoding is encoding
 
     @given(st.integers(0, 2**32 - 1))
@@ -265,7 +271,8 @@ class TestPrecomputeCache:
             want = covariate_distance_matrices(rows, table.kinds)
             expect = weights[0] * want[0][m, :m]
             expect += weights[1] * want[1][m, :m]
-            assert np.array_equal(table.row_distances(weights, [row])[0], expect)
+            got = table.row_distances(weights, [table.encode_row(row)])[0]
+            assert np.array_equal(got, expect)
 
     def test_tables_encode_nothing_until_used(self, tmp_path):
         table = mixed_table(np.random.default_rng(2), 5)

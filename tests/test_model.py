@@ -163,12 +163,14 @@ class TestCovariateTable:
             ["continuous", "categorical"],
         )
         assert table.row(1) == (1.0, "b")
-        assert table.validate_row((2, "c")) == (2.0, "c")
+        # a label is compared as a string and an unseen one is code -1
+        assert table.encode_row((2, "b")) == (2.0, 1)
+        assert table.encode_row(("2.5", "c")) == (2.5, -1)
 
-    def test_validate_row_length(self):
+    def test_encode_row_length(self):
         table = CovariateTable.continuous([[0.0, 1.0]])
         with pytest.raises(ValueError, match="schema expects 2"):
-            table.validate_row((1.0,))
+            table.encode_row((1.0,))
 
     def test_non_finite_continuous_rejected(self):
         with pytest.raises(ValueError, match="row 1"):

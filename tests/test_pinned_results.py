@@ -6,14 +6,19 @@ records of one small fit; each pipeline case hashes every file that one
 small seeded run of the command-line tools leaves behind; the pair case
 hashes the neighbor pairs one training step finds for seeded loadings; the
 batch case hashes every field of ``predict_batch`` over seeded random
-models.  The hashes were recorded with numpy 2.4.6 and
-Python 3.11 on x86-64 Linux; another numpy build or BLAS may round the
-SVD or the matrix products differently, and then every hash moves at once.
-A change that moves only some of them changed the arithmetic.
+models.  The hashes were recorded with numpy 2.4.6 and Python 3.11 on
+x86-64 Linux, under the CPU kernels ``RECORDED_KERNELS`` names; another
+numpy build, BLAS kernel or SIMD dispatch may round the SVD, the matrix
+products or ``exp`` differently, and then many hashes move at once.  So
+every hash failure names the recorded kernels and this host's.  On the
+recorded kernels, a change that moves a hash changed the arithmetic.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +38,42 @@ from persreg.model import (
 )
 from persreg.objective import resolve_pairs
 from persreg.predictor import predict_batch
+
+# the OpenBLAS core and numpy's active SIMD dispatch targets the hashes were
+# recorded under
+RECORDED_KERNELS = ("SkylakeX", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+
+def host_kernels() -> tuple:
+    """This host's OpenBLAS core, read from numpy's bundled OpenBLAS, and
+    numpy's active SIMD dispatch targets; "unknown" where either cannot be
+    read."""
+    core = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    try:
+        from numpy._core import _multiarray_umath as umath
+        active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        dispatch = " ".join(active) or "none"
+    except (ImportError, AttributeError):
+        dispatch = "unknown"
+    return core, dispatch
+
+
+def kernels_note() -> str:
+    """The failure message of a hash check: the kernels the hashes were
+    recorded under, then this host's."""
+    recorded = "OpenBLAS core {}, numpy dispatch {}".format(*RECORDED_KERNELS)
+    host = "OpenBLAS core {}, numpy dispatch {}".format(*host_kernels())
+    return (f"hash recorded under {recorded}; this host runs {host}. "
+            "Other kernels round differently, so check these first.")
 
 
 def _continuous_regression():
@@ -88,7 +129,7 @@ def test_seeded_fit_bytes_are_pinned(name):
     start = pr.fit(dataset, pr.HyperParams(max_iters=0), seed=3)
     assert not np.array_equal(model.factorization.loadings,
                               start.factorization.loadings)
-    assert digest == want
+    assert digest == want, kernels_note()
 
 
 def _run(*args):
@@ -232,7 +273,7 @@ def directory_digest(root):
 def test_seeded_cli_pipeline_bytes_are_pinned(name, tmp_path):
     run, want = PIPELINES[name]
     run(tmp_path)
-    assert directory_digest(tmp_path) == want
+    assert directory_digest(tmp_path) == want, kernels_note()
 
 
 def pairs_digest():
@@ -261,7 +302,7 @@ def pairs_digest():
 def test_neighbor_pairs_are_pinned():
     assert pairs_digest() == (
         "a12fe66f47e7e95736eacd80b2c9329d3de55358eb4104303a3a178964abfaed"
-    )
+    ), kernels_note()
 
 
 def random_prediction_case(rng, n=None, m=None, n_labels=3):
@@ -329,4 +370,4 @@ def batch_digest():
 def test_batch_predictions_are_pinned():
     assert batch_digest() == (
         "436dfd6b46e10e9f8f00283f061f170819af11f8f54a8310618ac2e3bca5f49b"
-    )
+    ), kernels_note()

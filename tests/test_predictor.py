@@ -203,6 +203,14 @@ class TestPredictPoint:
         with pytest.raises(ValueError, match="predictor row"):
             predict_point(model, np.zeros(3), (0.0,))
 
+    @pytest.mark.parametrize("value", [None, [1.0], "abc"])
+    def test_non_number_covariate_names_its_column(self, value):
+        model = build_model(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="covariate 0 is not a number"):
+            predict_point(model, np.zeros(2), (value, 0.5))
+        with pytest.raises(ValueError, match="covariate 1 is not a number"):
+            predict_batch(model, np.zeros((1, 2)), [(0.5, value)])
+
     def test_categorical_covariates_work(self):
         theta = np.array([[1.0, 2.0, 3.0]])
         model = build_model(
@@ -308,17 +316,43 @@ class TestPrunedSearch:
             assert np.array_equal(got.neighbor_dists, single.neighbor_dists)
             assert np.array_equal(got.coefficients, single.coefficients)
 
+    def test_each_query_label_is_looked_up_once(self):
+        # a pruned query, an unseen label, a group below k and a k-th
+        # distance beyond the label weight: the last three also take the
+        # full pass, which reads the codes the query was encoded to
+        class Counted(dict):
+            def get(self, *args):
+                looked.append(args[0])
+                return super().get(*args)
+
+            def __getitem__(self, key):
+                looked.append(key)
+                return super().__getitem__(key)
+
+        looked = []
+        model = self.model(2)
+        table = model.train_covariates
+        vars(table)["encoding"] = tuple(
+            (vals, None if codebook is None else Counted(codebook))
+            for vals, codebook in table.encoding)
+        queries = [(0.25, "a"), (0.25, "z"), (0.7, "c"), (1.5, "a")]
+        batch = predict_batch(model, np.ones((4, 2)), queries)
+        assert [list(p.neighbor_ids) for p in batch] == [[2, 4], [2, 3], [7, 6], [6, 4]]
+        assert looked == ["a", "z", "c", "a"]
+
     def test_groups_are_built_once_per_model(self):
         model = self.model(2)
         part = model.label_partition
         assert model.label_partition is part
         assert part.columns == (1,) and part.min_weight == 0.5
-        assert part.searched == (0,) and np.array_equal(part.weights, [1.0])
+        assert np.array_equal(part.weights, [1.0, 0.0])
         assert list(part.groups) == [(0,), (1,), (2,)]
         assert [list(part.order[span]) for span in part.groups.values()] == [
             [0, 2, 4, 6], [1, 3, 5], [7]]
-        # the searched column, copied once in group order
+        # the searched column, copied once in group order, and zeros for
+        # the keyed one
         assert np.array_equal(part.table.columns[0], self.U0[part.order])
+        assert np.array_equal(part.table.columns[1], np.zeros(8))
         again = dataclasses.replace(model, hyper=HyperParams(n_neighbors=3))
         assert "label_partition" not in vars(again)
 
@@ -345,12 +379,13 @@ class TestPrunedSearch:
         assert list(part.groups) == sorted(want)
         got = {key: list(part.order[span]) for key, span in part.groups.items()}
         assert got == want
-        assert part.searched == tuple(c for c in (0, 1) if weights[c] > 0)
-        if part.searched:
-            for c, col in zip(part.searched, part.table.columns):
-                assert np.array_equal(col, cols[c][part.order])
-        else:
-            assert part.table is None
+        # the positive-weight continuous columns in group order, zeros and
+        # zero weights elsewhere
+        searched = [c < 2 and weights[c] > 0 for c in range(len(cols))]
+        assert np.array_equal(part.weights, np.where(searched, weights, 0.0))
+        for c, col in enumerate(part.table.columns):
+            want_col = cols[c][part.order] if searched[c] else np.zeros(n)
+            assert np.array_equal(col, want_col)
 
     def test_zero_weight_labels_are_not_grouped(self):
         model = build_model(np.zeros((1, 8)), [self.U0, self.LABELS],
@@ -384,9 +419,8 @@ class TestBlockSearch:
             kn = min(model.hyper.n_neighbors, model.n_train)
             batch = predict_batch(model, X, rows)
             assert len(batch) == len(rows)
-            table = model.train_covariates
             for x, row, got in zip(X, rows, batch):
-                ids, dists = brute_nearest(model, table.validate_row(row), kn)
+                ids, dists = brute_nearest(model, row, kn)
                 assert list(got.neighbor_ids) == ids
                 assert list(got.neighbor_dists) == dists
                 single = predict_point(model, x, row)
