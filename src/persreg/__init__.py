@@ -14,9 +14,9 @@ from .model import (
     CovariateTable,
     Dataset,
     HyperParams,
+    NumericalError,
     TrainedModel,
 )
-from .objective import NumericalError
 from .optimizer import fit, initialize
 from .population import ElasticNetConfig, ElasticNetConvergenceError, fit_population
 from .predictor import predict_batch, predict_point, rank_neighbors

@@ -3,8 +3,8 @@
 Each command parses its arguments and wires library calls together; reading
 and writing files belong to ``storage`` and every score to ``simulate``.
 
-Exit codes: 0 on success, 2 for input or validation problems, 3 for
-numerical failures inside the solvers.
+Exit codes: 0 on success, 2 for input or validation problems, 3 for a
+``NumericalError``, an arithmetic failure inside a solver.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -23,11 +22,10 @@ from .model import (
     TASKS,
     Dataset,
     HyperParams,
+    NumericalError,
     coefficient_matrix,
 )
-from .objective import NumericalError
 from .optimizer import fit
-from .population import ElasticNetConvergenceError
 from .predictor import predict_batch
 from .simulate import generate, recovery_error, score_predictions
 
@@ -243,10 +241,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (NumericalError, ElasticNetConvergenceError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

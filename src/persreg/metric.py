@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CovariateTable
+from .model import CovariateTable, NumericalError
 
 RADIUS_NUDGE = 1e-12
 # A grid of cells h wide holds every pair whose squared distance lies below
@@ -90,7 +90,7 @@ def _grid_axes(loadings) -> tuple:
     axes = tuple(int(a) for a in np.argsort(-spans, kind="stable")[:2])
     spread = float(spans[axes[0]])
     if not math.isfinite(spread):
-        raise ValueError("the loading range overflows float64")
+        raise NumericalError("the loading range overflows float64")
     return axes, spread
 
 
@@ -240,7 +240,7 @@ def auto_radius(loadings, target_avg: float) -> tuple:
             continue
         value = float(np.partition(near.sq, m - 1)[m - 1])
         if not math.isfinite(value):
-            raise ValueError("squared loading distances overflow float64")
+            raise NumericalError("squared loading distances overflow float64")
         radius = RADIUS_NUDGE if value == 0.0 else value * (1.0 + RADIUS_NUDGE)
         if radius <= near.reach:
             return radius, near

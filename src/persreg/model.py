@@ -35,6 +35,15 @@ CATEGORICAL = "categorical"
 COVARIATE_KINDS = (CONTINUOUS, CATEGORICAL)
 
 
+class NumericalError(RuntimeError):
+    """Arithmetic failure inside a fit, such as a non-finite value or a
+    stalled line search; carries the offending sample index when known."""
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
+
+
 def _frozen_float_array(values, name: str, ndim: int) -> np.ndarray:
     """A read-only float copy of ``values``, ``ndim``-dimensional and finite."""
     arr = np.array(values, dtype=float)

@@ -30,17 +30,9 @@ from .model import (
     Dataset,
     Factorization,
     HyperParams,
+    NumericalError,
     coefficient_matrix,
 )
-
-
-class NumericalError(RuntimeError):
-    """Non-finite value encountered, or a line search that cannot lower the
-    objective; carries the offending sample index when one is known."""
-
-    def __init__(self, message: str, sample: int | None = None):
-        super().__init__(message)
-        self.sample = sample
 
 
 @dataclass(frozen=True)

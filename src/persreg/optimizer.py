@@ -34,10 +34,11 @@ from .model import (
     Dataset,
     Factorization,
     HyperParams,
+    NumericalError,
     TrainedModel,
     center_of_mass,
 )
-from .objective import NumericalError, composite_objective, resolve_pairs
+from .objective import composite_objective, resolve_pairs
 from .population import ElasticNetConfig, fit_population
 
 
@@ -67,7 +68,8 @@ def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) ->
     centered across samples and projected off the population direction so
     the initial center of mass is the population vector to machine
     precision.  The truncated SVD then gives the best rank-q factorization
-    of that matrix.  Metric weights start at one.
+    of that matrix.  Metric weights start at one.  Start loadings that
+    overflow float64 raise ``NumericalError``.
     """
     p, n = dataset.p, dataset.n
     q = hyper.latent_dim
@@ -87,12 +89,11 @@ def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) ->
 
     base = pop[:, None] + hyper.init_noise * noise
     left, spectrum, right_t = np.linalg.svd(base, full_matrices=False)
-    fact = Factorization(
-        loadings=spectrum[:q, None] * right_t[:q],
-        dictionary=left[:, :q].T,
-    )
+    loadings = spectrum[:q, None] * right_t[:q]
+    if not np.all(np.isfinite(loadings)):
+        raise NumericalError("non-finite start loadings")
     return TrainState(
-        factorization=fact,
+        factorization=Factorization(loadings=loadings, dictionary=left[:, :q].T),
         weights=np.ones(dataset.k, dtype=float),
         population_coef=pop,
         iteration=0,

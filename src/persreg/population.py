@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REGRESSION, Dataset, validate_task
-from .objective import NumericalError, score_terms
+from .model import REGRESSION, Dataset, NumericalError, validate_task
+from .objective import score_terms
 
 
-class ElasticNetConvergenceError(RuntimeError):
+class ElasticNetConvergenceError(NumericalError):
     """Raised when the solver runs out of iterations; carries the last
     iterate and its stationarity residual."""
 
@@ -111,7 +111,8 @@ def fit_population(dataset: Dataset, cfg: ElasticNetConfig, on_iterate=None) -> 
             delta = trial - coef
             trial_value, trial_grad = _smooth_terms(X, y, trial, cfg.l2, cfg.fit_task)
             bound = value + float(grad @ delta) + float(delta @ delta) / (2.0 * step)
-            if trial_value <= bound + 1e-15:
+            # the slack scales with the objective, as its rounding does
+            if trial_value <= bound + 1e-15 * max(1.0, abs(value)):
                 break
             step *= 0.5
             if step < 1e-18:

@@ -2,8 +2,9 @@
 
 Numbers are written with shortest round-trip formatting (Python's repr), so
 re-serializing parsed artifacts is byte-identical and seeded pipelines can
-be compared file for file.  Every file is written through one atomic writer
-and every CSV is read through one row reader.
+be compared file for file.  Every file is UTF-8, whatever the locale; each
+is written through one atomic writer and every CSV is read through one row
+reader.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _write_atomic(path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", newline="") as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         if path.exists():
             os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
@@ -69,7 +70,7 @@ def write_csv(path, header, rows) -> None:
 def read_csv(path) -> tuple:
     """Returns (header, rows, lines): every non-blank data row, each checked
     to be as wide as the header, and the line of the file it ends on."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -209,7 +210,7 @@ def dump_json(path, obj) -> None:
 
 
 def load_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 

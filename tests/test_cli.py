@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +268,24 @@ class TestOverflowingInputs:
         code, err = run_quietly(capsys, *train_args(sim_dir, out, "--max-iters", 5))
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--init-noise", 1e150, "non-finite gradient in composite objective"),
+            ("--init-noise", 1e160, "squared loading distances overflow float64"),
+            ("--init-noise", 1e308, "non-finite start loadings"),
+            ("--lr-init", 1.7e308, "non-finite update at iteration 0"),
+        ],
+    )
+    def test_overflowing_hyperparameter_fails_train_in_one_line(
+        self, sim_dir, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "fit"
+        code, err = run_quietly(
+            capsys, *train_args(sim_dir, out, "--max-iters", 3, flag, value))
+        assert (code, err) == (3, f"error: {message}\n")
         assert not out.exists()
 
     def test_overflowing_covariate_distances_fail_train_in_one_line(
@@ -782,6 +804,24 @@ def test_csv_readers_skip_blank_lines(tmp_path):
     assert table.columns[1].tolist() == ["a", "b"]
     path.write_text("a,b\n\n1.5,2.0\n\n")
     assert storage.read_matrix_csv(path)[1].tolist() == [[1.5, 2.0]]
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 mode makes ASCII the default encoding
+    schema, covariates, out = tmp_path / "s.json", tmp_path / "u.csv", tmp_path / "o.csv"
+    schema.write_bytes('{"columns": [{"name": "région", "kind": "categorical"}]}'.encode())
+    covariates.write_bytes("région\ncafé\nthé\n".encode())
+    script = (
+        "import sys; from persreg import storage; "
+        "schema = storage.read_schema(sys.argv[1]); "
+        "storage.write_covariates_csv("
+        "sys.argv[3], storage.read_covariates_csv(sys.argv[2], schema))"
+    )
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=str(Path(storage.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script, schema, covariates, out],
+                   env=env, check=True)
+    assert out.read_bytes() == covariates.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from persreg.model import (
     CovariateTable,
     Factorization,
     HyperParams,
+    NumericalError,
     TrainedModel,
 )
 
@@ -584,7 +585,7 @@ class TestBadInput:
 
     def test_overflowing_range_rejected(self):
         Z = np.array([[-1e308, 1e308, 0.0]])
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(NumericalError, match="overflow"):
             auto_radius(Z, 1.0)
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(NumericalError, match="overflow"):
             candidate_pairs(Z, 1.0)

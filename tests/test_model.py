@@ -208,6 +208,11 @@ class TestHyperParams:
             {"n_neighbors": True},
             {"lr_init": None},
             {"init_noise": float("nan")},
+            {"weights_anchor": -1e-3},
+            {"target_neighbors": 0.0},
+            {"init_noise": 0.0},
+            {"rate_floor": 0.0},
+            {"max_iters": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from persreg.population import (
     fit_population,
     stationarity_residual,
 )
+from persreg.simulate import generate
 
 from oracles import central_difference, relative_error
 
@@ -145,6 +147,28 @@ class TestFitPopulation:
         with pytest.raises(NumericalError, match="line search stalled"):
             fit_population(make_dataset(X, X[:, 0] / 1e10), cfg, on_iterate=values.append)
         assert np.all(np.diff(np.asarray(values)) <= 0.0)
+
+    def test_line_search_accepts_a_lower_trial_below_the_smallest_step(self):
+        # one predictor 6e8 wide: only steps below 1e-18 meet the quadratic
+        # bound, so the search stops at its last trial, a step of 2**-59,
+        # and accepts it because it still lowers the objective
+        X = np.full((4, 1), 6e8)
+        values = []
+        cfg = ElasticNetConfig(l1=0.0, max_iters=1)
+        with pytest.raises(ElasticNetConvergenceError):
+            fit_population(make_dataset(X, np.ones(4)), cfg, on_iterate=values.append)
+        assert values == [(1.0 - 2.0**-59 * 2.0 * 6e8**2) ** 2]
+
+    @pytest.mark.parametrize("scale, seed", [(10, 2), (100, 0), (1000, 0)])
+    def test_large_responses_converge(self, scale, seed):
+        # an objective in the hundreds rounds by more than 1e-15, which the
+        # bound's slack must absorb or the step collapses near the optimum
+        ds = generate(500, 5, 5, seed=seed).train_dataset()
+        ds = dataclasses.replace(ds, responses=scale * ds.responses)
+        cfg = ElasticNetConfig(l1=0.1, l2=1e-5, max_iters=2000)
+        coef = fit_population(ds, cfg)
+        _, grad = _smooth_terms(ds.predictors, ds.responses, coef, cfg.l2, cfg.fit_task)
+        assert stationarity_residual(coef, grad, cfg.l1) <= cfg.rel_tol
 
     def test_smooth_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -202,6 +202,10 @@ class TestPredictPoint:
         model = build_model(np.zeros((2, 3)), np.zeros((3, 1)))
         with pytest.raises(ValueError, match="predictor row"):
             predict_point(model, np.zeros(3), (0.0,))
+        with pytest.raises(ValueError, match="predictor matrix"):
+            predict_batch(model, np.zeros((2, 3)), [(0.0,), (0.0,)])
+        with pytest.raises(ValueError, match="must align"):
+            predict_batch(model, np.zeros((2, 2)), [(0.0,)])
 
     @pytest.mark.parametrize("value", [None, [1.0], "abc"])
     def test_non_number_covariate_names_its_column(self, value):
