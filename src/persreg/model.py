@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -46,13 +47,49 @@ class NumericalError(RuntimeError):
 
 def _frozen_float_array(values, name: str, ndim: int) -> np.ndarray:
     """A read-only float copy of ``values``, ``ndim``-dimensional and finite."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contain non-finite values")
     arr.setflags(write=False)
     return arr
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Refuse, naming ``name``, a ``value`` that is a bool, or that is not
+    an integer when ``integer`` is set and otherwise not a finite real."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # a comparison, unlike math.isfinite, also takes an int beyond float range
+    if not (integer or abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+@cache
+def _numeric_fields(cls) -> tuple:
+    """(name, integer, optional) per int or float field of a settings class."""
+    fields = []
+    for name, hint in get_type_hints(cls).items():
+        kind, *rest = get_args(hint) or (hint,)
+        if kind in (int, float):
+            fields.append((name, kind is int, type(None) in rest))
+    return tuple(fields)
+
+
+def check_settings(settings) -> None:
+    """Check each int or float field of a settings dataclass by its type
+    hint with ``check_number``; None passes where the hint allows it.
+    Values are never converted, so a saved model keeps its bytes."""
+    for name, integer, optional in _numeric_fields(type(settings)):
+        value = getattr(settings, name)
+        if not (optional and value is None):
+            check_number(name, value, integer)
 
 
 def validate_task(task: str) -> str:
@@ -349,17 +386,7 @@ class HyperParams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        # types are checked, never converted, so a saved model keeps its bytes
-        for name, hint in _HYPER_HINTS.items():
-            value = getattr(self, name)
-            if value is None and type(None) in get_args(hint):
-                continue
-            kind = numbers.Integral if name in INTEGER_HYPERS else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is numbers.Integral else "a real number"
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
-            if value != value:  # NaN, the one value unequal to itself
-                raise ValueError(f"{name} must not be NaN")
+        check_settings(self)
         if self.l1 < 0:
             raise ValueError("l1 strength must be >= 0")
         if self.distance_match < 0:
@@ -370,8 +397,8 @@ class HyperParams:
             raise ValueError("latent_dim must be >= 1")
         if self.radius is None and self.target_neighbors is None:
             raise ValueError("set either radius or target_neighbors")
-        if self.radius is not None and not 0 < self.radius < float("inf"):
-            raise ValueError("radius must be finite and > 0")
+        if self.radius is not None and self.radius <= 0:
+            raise ValueError("radius must be > 0")
         if self.target_neighbors is not None and self.target_neighbors <= 0:
             raise ValueError("target_neighbors must be > 0")
         if self.lr_init <= 0:
@@ -393,9 +420,8 @@ class HyperParams:
         return replace(self, **kwargs)
 
 
-_HYPER_HINTS = get_type_hints(HyperParams)
 # the fields that count something; every other field is a real number
-INTEGER_HYPERS = tuple(name for name, hint in _HYPER_HINTS.items() if hint is int)
+INTEGER_HYPERS = tuple(name for name, integer, _ in _numeric_fields(HyperParams) if integer)
 
 
 @dataclass(frozen=True)

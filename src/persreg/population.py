@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REGRESSION, Dataset, NumericalError, validate_task
+from .model import REGRESSION, Dataset, NumericalError, check_settings, validate_task
 from .objective import score_terms
 
 
@@ -40,6 +40,7 @@ class ElasticNetConfig:
     fit_task: str = REGRESSION
 
     def __post_init__(self):
+        check_settings(self)
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("regularization strengths must be >= 0")
         if self.max_iters < 1:

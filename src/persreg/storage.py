@@ -268,7 +268,12 @@ def save_model(path, model: TrainedModel) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    return model_from_dict(load_json(path))
+    """The model saved at ``path``; a rejected file raises a ValueError
+    that starts with the path."""
+    try:
+        return model_from_dict(load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_trace_jsonl(path, records) -> None:

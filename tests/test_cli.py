@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from persreg import storage
+from persreg import cli, storage
 from persreg.cli import main
-from persreg.model import CovariateTable, Dataset, HyperParams, coefficient_matrix
+from persreg.model import (
+    INTEGER_HYPERS,
+    CovariateTable,
+    Dataset,
+    HyperParams,
+    coefficient_matrix,
+)
 from persreg.optimizer import fit
 from persreg.predictor import predict_batch
 from persreg.simulate import auroc_rank_sum, recovery_error, score_predictions
@@ -53,6 +59,21 @@ class TestSimulate:
             "simulate", "--n", 0, "--p", 2, "--k", 3, "--seed", 1, "--out", tmp_path / "x"
         ) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-1", "noise_std must be >= 0"),
+         ("nan", "noise_std must be finite, got nan"),
+         ("inf", "noise_std must be finite, got inf")],
+    )
+    def test_bad_noise_std_is_named(self, tmp_path, capsys, value, message):
+        out = tmp_path / "x"
+        assert run_cli(
+            "simulate", "--n", 10, "--p", 2, "--k", 3, "--seed", 1,
+            f"--noise-std={value}", "--out", out,
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def train_args(sim_dir, out, *extra):
@@ -130,6 +151,30 @@ class TestTrain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run_cli(*train_args(sim_dir, tmp_path / "f", "--config", cfg)) == 2
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [(name, value)
+         for name in HyperParams.__dataclass_fields__ if name not in INTEGER_HYPERS
+         for value in ("inf", "-inf", "nan")]
+        + [("config", "Infinity")],
+    )
+    def test_non_finite_setting_exits_2_before_any_fit(
+        self, sim_dir, tmp_path, capsys, monkeypatch, setting, value
+    ):
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: pytest.fail("fit ran"))
+        if setting == "config":
+            config = tmp_path / "cfg.json"
+            config.write_text('{"rel_tol": Infinity}')
+            setting, flag = "rel_tol", ("--config", config)
+        else:
+            flag = (f"--{setting.replace('_', '-')}={value}",)
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        assert run_cli(*train_args(sim_dir, out, *flag)) == 2
+        got = float(value.replace("Infinity", "inf"))
+        assert capsys.readouterr().err == f"error: {setting} must be finite, got {got}\n"
+        assert not out.exists()
 
     def test_schema_without_column_list_is_input_error(self, sim_dir, tmp_path):
         schema = tmp_path / "schema.json"
@@ -406,6 +451,53 @@ class TestPredict:
         )
         assert code == 2
         assert "covariate row 7 has" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [pytest.param(*case, id=case[0]) for case in [
+            ("n_neighbors", "n_neighbors must be >= 1"),
+            ("rel_tol", "rel_tol must be finite, got inf"),
+            ("ragged-loadings", "loadings must be a rectangular array of numbers"),
+            ("short-kinds", "columns, kinds and names must align"),
+            ("extra-latent-row", "latent dim 3 must lie in [1, min(p=2, n=60)]"),
+            ("negative-phi", "metric weights must be nonnegative"),
+            ("short-loadings", "factorization column count must match"),
+            ("short-population", "population coefficients must have length p"),
+        ]],
+    )
+    def test_rejected_model_file_is_named(
+        self, sim_dir, fitted, tmp_path, capsys, case, message
+    ):
+        data = storage.load_json(fitted / "model.json")
+        if case == "n_neighbors":
+            data["hyper"]["n_neighbors"] = 0
+        elif case == "rel_tol":
+            data["hyper"]["rel_tol"] = float("inf")
+        elif case == "ragged-loadings":
+            data["loadings"][1].pop()
+        elif case == "short-kinds":
+            data["covariates"]["kinds"].pop()
+        elif case == "extra-latent-row":
+            data["loadings"].append([0.0] * 60)
+            data["dictionary"].append([0.0] * 2)
+        elif case == "negative-phi":
+            data["weights"][0] = -1.0
+        elif case == "short-loadings":
+            data["loadings"] = [row[:-1] for row in data["loadings"]]
+        else:
+            data["population_coef"].pop()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))  # json writes Infinity
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        code = run_cli(
+            "predict", "--model", model, "--x", sim_dir / "X.csv",
+            "--u", sim_dir / "U.csv", "--out", out,
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {model}: ")
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_predictor_is_input_error(self, sim_dir, fitted, tmp_path, cell):
@@ -770,6 +862,8 @@ def test_covariate_cell_error_names_its_file_line(tmp_path, text, kinds, message
         ("no-y-hat", "missing y_hat column"),
         ("two-column-responses", "expected one column, found 2"),
         ("empty-csv", "empty CSV"),
+        ("short-covariates", "covariate table length must match sample count"),
+        ("one-class-truth", "AUROC needs both classes present"),
     ],
 )
 def test_rejected_input_exits_2_with_its_message(sim_dir, tmp_path, capsys, case, message):
@@ -788,11 +882,25 @@ def test_rejected_input_exits_2_with_its_message(sim_dir, tmp_path, capsys, case
         pred.write_text("row_id,score\n0,0.5\n")
     elif case == "two-column-responses":
         truth.write_text("y,z\n0.5,1.0\n")
+    elif case == "short-covariates":
+        table = storage.read_covariates_csv(sim_dir / "U.csv")
+        storage.write_covariates_csv(sim_dir / "U.csv", table.take(range(len(table) - 1)))
+        args = train_args(sim_dir, tmp_path / "fit")
+    elif case == "one-class-truth":
+        truth.write_text("y\n1.0\n")
+        args += ("--task", "classification")
     else:
         truth.write_bytes(b"")
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_matrix_header_must_match_its_width(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="header width must match matrix"):
+        storage.write_matrix_csv(path, np.zeros((2, 3)), ["a", "b"])
+    assert not path.exists()
 
 
 def test_csv_readers_skip_blank_lines(tmp_path):

@@ -575,6 +575,11 @@ class TestBadInput:
         with pytest.raises(ValueError, match="finite"):
             candidate_pairs(Z, 1.0)
 
+    @pytest.mark.parametrize("shape", [(10,), (0, 10)])
+    def test_loadings_without_a_latent_row_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(q, n\) array with q >= 1"):
+            candidate_pairs(np.zeros(shape), 1.0)
+
     @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_radius_rejected(self, radius):
         Z = np.random.default_rng(1).standard_normal((2, 10))

@@ -1,3 +1,6 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from persreg.model import (
     center_of_mass,
     coefficient_matrix,
 )
+from persreg.population import ElasticNetConfig
 
 from oracles import normalize_dictionary
 
@@ -224,6 +228,77 @@ class TestHyperParams:
         assert type(hyper.l1) is int
         assert type(hyper.max_iters) is np.int64
         assert type(hyper.radius) is np.float64
+
+
+def numeric_settings():
+    """(class, field name, integer) for every int or float field, optional
+    or not, of the settings classes, read from their type hints."""
+    out = []
+    for cls in (HyperParams, ElasticNetConfig):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            kinds = set(typing.get_args(hints[field.name]) or [hints[field.name]])
+            kinds.discard(type(None))
+            if kinds in ({int}, {float}):
+                out.append((cls, field.name, kinds == {int}))
+    return out
+
+
+# one contract for every numeric setting, so a field added later is checked
+# the day it lands
+@pytest.mark.parametrize(
+    "cls, name, bad",
+    [pytest.param(cls, name, bad, id=f"{cls.__name__}.{name}-{bad}")
+     for cls, name, integer in numeric_settings()
+     for bad in [float("nan"), float("inf"), float("-inf"), True]
+     + ([2.5] if integer else [])],
+)
+def test_every_setting_refuses_a_bad_value_by_name(cls, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "cls, name, integer",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}")
+     for case in numeric_settings()],
+)
+def test_every_setting_keeps_its_default_and_a_numpy_scalar(cls, name, integer):
+    default = cls.__dataclass_fields__[name].default
+    assert getattr(cls(**{name: default}), name) is default
+    value = (np.int64 if integer else np.float64)(default or 1)
+    kept = getattr(cls(**{name: value}), name)
+    assert type(kept) is type(value) and kept == value
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Dataset(predictors=[1.0, 2.0], responses=[0.5],
+                         covariates=CovariateTable.continuous([[0.1]])),
+         "predictors must be 2-dimensional"),
+        (lambda: Dataset(predictors=np.empty((1, 0)), responses=[0.5],
+                         covariates=CovariateTable.continuous([[0.1]])),
+         "need at least one sample and one predictor"),
+        (lambda: Dataset(predictors=[[1.0], [2.0, 3.0]], responses=[0.5, 1.0],
+                         covariates=CovariateTable.continuous([[0.1], [0.2]])),
+         "predictors must be a rectangular array of numbers"),
+        (lambda: Factorization(loadings=[["a"]], dictionary=[[1.0]]),
+         "loadings must be a rectangular array of numbers"),
+        (lambda: CovariateTable.from_columns([], []),
+         "covariate table needs at least one column"),
+        (lambda: CovariateTable.from_columns([[0.1, 0.2], [0.3]],
+                                             ["continuous", "continuous"]),
+         r"column 1 has length \(1,\), expected 2"),
+        (lambda: CovariateTable.continuous([0.1, 0.2]),
+         "expected a 2-d array of covariates"),
+    ],
+    ids=["1-d-predictors", "no-predictors", "ragged-predictors",
+         "non-numeric-loadings", "no-columns", "short-column", "1-d-covariates"],
+)
+def test_malformed_data_is_refused_with_its_reason(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_trained_model_validates_alignment():

@@ -246,6 +246,11 @@ class TestDistanceMatchValues:
         got = distance_match(loadings, np.ones(1), pairs, 0.0)[0]
         assert np.array_equal(got, np.zeros(2))
 
+    def test_weights_must_cover_every_covariate(self):
+        loadings, pairs = two_sample_setup([[0.0, 1.0]], [[0.0], [2.0]])
+        with pytest.raises(ValueError, match="number of covariates"):
+            distance_match(loadings, np.ones(2), pairs, 1.0)
+
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(3)
         loadings = rng.standard_normal((2, 20))

@@ -85,6 +85,11 @@ class TestInitialize:
         with pytest.raises(ValueError, match="latent_dim"):
             initialize(ds, HyperParams(latent_dim=3), np.zeros(2), seed=0)
 
+    def test_population_shape_checked(self):
+        ds = small_dataset(np.random.default_rng(4), p=2)
+        with pytest.raises(ValueError, match=r"must have shape \(2,\)"):
+            initialize(ds, HyperParams(), np.zeros(3), seed=0)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         ds = small_dataset(rng)
@@ -192,6 +197,13 @@ class TestFit:
             model.factorization.dictionary, state.factorization.dictionary
         )
         assert np.array_equal(model.weights, np.ones(3))
+
+    def test_default_settings_when_none_given(self):
+        ds = generate(20, 2, 2, seed=3).train_dataset()
+        model = fit(ds, seed=3)
+        assert model.hyper == HyperParams()
+        again = fit(ds, HyperParams(), seed=3)
+        assert np.array_equal(model.factorization.loadings, again.factorization.loadings)
 
     @staticmethod
     def mixed_dataset(n):

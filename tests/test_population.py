@@ -113,6 +113,22 @@ class TestFitPopulation:
         cfg = ElasticNetConfig(l1=0.01, fit_task=task)
         assert np.all(np.isfinite(fit_population(ds, cfg)))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"l1": -0.1}, "regularization strengths must be >= 0"),
+         ({"l2": -1e-9}, "regularization strengths must be >= 0"),
+         ({"max_iters": 0}, "max_iters must be >= 1"),
+         ({"rel_tol": 0.0}, "rel_tol must be > 0")],
+    )
+    def test_config_out_of_range_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ElasticNetConfig(**kwargs)
+
+    def test_config_keeps_its_numbers_as_given(self):
+        cfg = ElasticNetConfig(l1=1, l2=np.float64(0.5), max_iters=np.int64(7))
+        assert type(cfg.l1) is int and type(cfg.l2) is np.float64
+        assert type(cfg.max_iters) is np.int64
+
     def test_non_convergence_carries_iterate(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((50, 4))

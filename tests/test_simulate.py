@@ -76,6 +76,20 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(0, 2, 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"n": 2.5}, "n must be an integer, got 2.5"),
+         ({"p": 2.0}, "p must be an integer, got 2.0"),
+         ({"n_covariates": True}, "n_covariates must be an integer, got True"),
+         ({"noise_std": -1.0}, "noise_std must be >= 0"),
+         ({"noise_std": float("nan")}, "noise_std must be finite, got nan"),
+         ({"noise_std": float("inf")}, "noise_std must be finite, got inf")],
+    )
+    def test_bad_argument_is_named(self, kwargs, message):
+        args = {"n": 10, "p": 2, "n_covariates": 2, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(**args)
+
 
 class TestEvaluateRecovery:
     def test_exact_recovery_is_zero(self):
