@@ -145,7 +145,7 @@ def _config_from_args(args) -> dict:
     if args.config:
         config = storage.load_json(args.config)
         if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{args.config}: config file must hold a JSON object")
     for key in CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:

@@ -71,6 +71,14 @@ def check_number(name: str, value, integer: bool = False) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an integer >= 0, as ``check_number``
+    refuses a setting, before any random number is drawn."""
+    check_number("seed", seed, integer=True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @cache
 def _numeric_fields(cls) -> tuple:
     """(name, integer, optional) per int or float field of a settings class."""

@@ -37,6 +37,7 @@ from .model import (
     NumericalError,
     TrainedModel,
     center_of_mass,
+    check_seed,
 )
 from .objective import composite_objective, resolve_pairs
 from .population import ElasticNetConfig, fit_population
@@ -69,8 +70,10 @@ def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) ->
     the initial center of mass is the population vector to machine
     precision.  The truncated SVD then gives the best rank-q factorization
     of that matrix.  Metric weights start at one.  Start loadings that
-    overflow float64 raise ``NumericalError``.
+    overflow float64 raise ``NumericalError``; ``seed`` must be an integer
+    >= 0.
     """
+    check_seed(seed)
     p, n = dataset.p, dataset.n
     q = hyper.latent_dim
     if q > min(p, n):
@@ -193,8 +196,10 @@ def fit(
     ``trace_fn``, when given, receives one record per iteration with the
     rate, objective, center-of-mass movement, and neighbor statistics.
     With ``instrument`` set and a regression task, records also carry the
-    theoretical per-step and accumulated center-of-mass bounds.
+    theoretical per-step and accumulated center-of-mass bounds.  ``seed``
+    must be an integer >= 0, checked before the population fit.
     """
+    check_seed(seed)
     if hyper is None:
         hyper = HyperParams()
     if population_cfg is None:

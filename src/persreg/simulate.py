@@ -20,6 +20,7 @@ from .model import (
     CovariateTable,
     Dataset,
     check_number,
+    check_seed,
     validate_task,
 )
 
@@ -66,6 +67,7 @@ def generate(
     for name, value in (("n", n), ("p", p), ("n_covariates", n_covariates)):
         check_number(name, value, integer=True)
     check_number("noise_std", noise_std)
+    check_seed(seed)
     if min(n, p, n_covariates) < 1:
         raise ValueError("n, p and n_covariates must all be >= 1")
     if noise_std < 0:
@@ -149,13 +151,15 @@ def score_predictions(y_pred, y_true, task=REGRESSION) -> dict:
         )
     if y_true.size == 0:
         raise ValueError("no predictions to score")
-    scores: dict = {"mse": float(np.mean((y_pred - y_true) ** 2))}
-    # fewer than two values, or a constant vector, leave R^2 undefined
-    if y_pred.size < 2 or float(np.std(y_pred)) == 0.0 or float(np.std(y_true)) == 0.0:
-        scores["r2"], scores["r2_degenerate"] = 0.0, True
-    else:
-        corr = float(np.corrcoef(y_pred, y_true)[0, 1])
-        scores["r2"] = corr * corr
+    # an overflow gives a non-finite score, which no JSON writer takes
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores: dict = {"mse": float(np.mean((y_pred - y_true) ** 2))}
+        # fewer than two values, or a constant vector, leave R^2 undefined
+        if y_pred.size < 2 or float(np.std(y_pred)) == 0.0 or float(np.std(y_true)) == 0.0:
+            scores["r2"], scores["r2_degenerate"] = 0.0, True
+        else:
+            corr = float(np.corrcoef(y_pred, y_true)[0, 1])
+            scores["r2"] = corr * corr
     if validate_task(task) == CLASSIFICATION:
         if not np.all(np.isin(y_true, (0.0, 1.0))):
             raise ValueError("classification truth must be 0/1")
@@ -172,7 +176,8 @@ def recovery_error(estimated, true) -> float:
         raise ValueError(
             f"coefficient matrices must match, got {estimated.shape} vs {true.shape}"
         )
-    return float(np.linalg.norm(estimated - true))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
+        return float(np.linalg.norm(estimated - true))
 
 
 def evaluate_recovery(estimated, true, y_pred, y_true) -> RecoveryMetrics:

@@ -3,8 +3,8 @@
 Numbers are written with shortest round-trip formatting (Python's repr), so
 re-serializing parsed artifacts is byte-identical and seeded pipelines can
 be compared file for file.  Every file is UTF-8, whatever the locale; each
-is written through one atomic writer and every CSV is read through one row
-reader.
+is written through one atomic writer; every CSV is read through one
+reader, and every number in it is parsed by one rule.
 """
 
 from __future__ import annotations
@@ -68,9 +68,11 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path) -> tuple:
-    """Returns (header, rows, lines): every non-blank data row, each checked
-    to be as wide as the header, and the line of the file it ends on."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """Returns (header, columns, lines): the non-blank data rows, each
+    checked to be as wide as the header, as one tuple of cells per column,
+    and the line of the file each row ends on.  A UTF-8 byte-order mark
+    before the header is skipped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -85,7 +87,7 @@ def read_csv(path) -> tuple:
                 )
             rows.append(row)
             lines.append(reader.line_num)
-    return header, rows, lines
+    return header, _columns(rows, len(header)), lines
 
 
 def write_matrix_csv(path, matrix, header) -> None:
@@ -97,39 +99,47 @@ def write_matrix_csv(path, matrix, header) -> None:
     write_csv(path, header, matrix.tolist())
 
 
-def _float_cells(path, rows, lines, width) -> np.ndarray:
-    """Rows of cells as a (len(rows), width) float matrix.  Cells must be
-    finite numbers: ``nan`` and ``inf`` parse as floats but are rejected,
-    like any other malformed cell, with the ``path:line`` of their row."""
-    values = []
-    for row, line in zip(rows, lines):
-        try:
-            values.append([float(v) for v in row])
-        except ValueError:
-            raise ValueError(f"{path}:{line}: non-numeric cell") from None
-    matrix = np.asarray(values, dtype=float) if values else np.empty((0, width))
-    if not np.all(np.isfinite(matrix)):
-        bad = int(np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))[0])
-        raise ValueError(f"{path}:{lines[bad]}: non-finite cell")
-    return matrix
+def _number(cell) -> float | None:
+    """``float(cell)``, or None when the cell is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _floats(path, name, cells, lines) -> np.ndarray:
+    """The cells of column ``name`` as floats.  Each must be a finite
+    number; the first that is not (``nan`` and ``inf`` parse, but are
+    refused too) raises with its ``path:line`` and the column's name."""
+    numbers = [_number(cell) for cell in cells]
+    values = np.array(numbers, dtype=float)  # None becomes NaN
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        what = "is not a number" if numbers[i] is None else "is not finite"
+        raise ValueError(f"{path}:{lines[i]}: column {name!r} {what}")
+    return values
 
 
 def read_matrix_csv(path) -> tuple:
-    """Returns (header, float matrix with one row per data line)."""
-    header, rows, lines = read_csv(path)
-    return header, _float_cells(path, rows, lines, len(header))
+    """Returns (header, C-ordered float matrix with one row per data line)."""
+    header, columns, lines = read_csv(path)
+    matrix = np.empty((len(lines), len(header)))
+    for j, (name, cells) in enumerate(zip(header, columns)):
+        matrix[:, j] = _floats(path, name, cells, lines)
+    return header, matrix
 
 
 def read_column_csv(path, name=None) -> np.ndarray:
     """The float column ``name``, or the file's only column when no name is
     given; its cells are checked as ``read_matrix_csv`` checks them."""
-    header, rows, lines = read_csv(path)
+    header, columns, lines = read_csv(path)
     if name is None and len(header) != 1:
         raise ValueError(f"{path}: expected one column, found {len(header)}")
     if name is not None and name not in header:
         raise ValueError(f"{path}: missing {name} column")
     col = 0 if name is None else header.index(name)
-    return _float_cells(path, [[row[col]] for row in rows], lines, 1)[:, 0]
+    return _floats(path, header[col], columns[col], lines)
 
 
 def _covariate_rows(table: CovariateTable) -> list:
@@ -155,7 +165,7 @@ def read_covariates_csv(path, schema=None) -> CovariateTable:
     """Read a covariate table.  A schema ``(names, kinds)`` must name the
     header's columns in order; without one, columns that parse as numbers
     become continuous and the rest categorical."""
-    names, rows, lines = read_csv(path)
+    names, columns, lines = read_csv(path)
     if schema is None:
         kinds = [None] * len(names)
     else:
@@ -165,24 +175,11 @@ def read_covariates_csv(path, schema=None) -> CovariateTable:
                 f"{path}: header {names} does not match the covariates {list(expected)}"
             )
     parsed, found = [], []
-    for name, col, kind in zip(names, _columns(rows, len(names)), kinds):
-        if kind is None or kind == CONTINUOUS:
-            try:
-                col, kind = [float(v) for v in col], CONTINUOUS
-            except ValueError:
-                if kind == CONTINUOUS:
-                    for line, cell in zip(lines, col):
-                        try:
-                            float(cell)
-                        except ValueError:
-                            msg = f"{path}:{line}: covariate {name!r} is not numeric"
-                            raise ValueError(msg) from None
-                kind = CATEGORICAL
-            else:
-                bad = [line for line, v in zip(lines, col) if not math.isfinite(v)]
-                if bad:
-                    raise ValueError(f"{path}:{bad[0]}: covariate {name!r} is non-finite")
-        parsed.append(col)
+    for name, cells, kind in zip(names, columns, kinds):
+        if kind is None:
+            numeric = all(_number(cell) is not None for cell in cells)
+            kind = CONTINUOUS if numeric else CATEGORICAL
+        parsed.append(_floats(path, name, cells, lines) if kind == CONTINUOUS else cells)
         found.append(kind)
     return CovariateTable.from_columns(parsed, found, names)
 
@@ -202,16 +199,29 @@ def read_schema(path) -> tuple:
     return names, kinds
 
 
+def _json_text(path, obj, indent=None) -> str:
+    """``obj`` as strict JSON; a NaN or infinity raises, naming ``path``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path}: refusing to write a non-finite value") from None
+
+
 def dump_json(path, obj) -> None:
     """Write strict JSON atomically; a NaN or infinity raises before any
     file is opened."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    text = _json_text(path, obj, indent=2)
     _write_atomic(path, text + "\n")
 
 
 def load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in ``path``, after any UTF-8 byte-order mark; a file
+    that does not decode raises a ValueError that starts with the path."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def hyper_from_dict(data: dict) -> HyperParams:
@@ -270,12 +280,12 @@ def save_model(path, model: TrainedModel) -> None:
 def load_model(path) -> TrainedModel:
     """The model saved at ``path``; a rejected file raises a ValueError
     that starts with the path."""
+    data = load_json(path)
     try:
-        return model_from_dict(load_json(path))
+        return model_from_dict(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_trace_jsonl(path, records) -> None:
-    lines = [json.dumps(record, sort_keys=True, allow_nan=False) for record in records]
-    _write_atomic(path, "".join(line + "\n" for line in lines))
+    _write_atomic(path, "".join(_json_text(path, record) + "\n" for record in records))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from persreg import cli, storage
+from persreg import cli, optimizer, storage
 from persreg.cli import main
 from persreg.model import (
     INTEGER_HYPERS,
@@ -86,6 +86,21 @@ def train_args(sim_dir, out, *extra):
         "--seed", 5,
         *extra,
     )
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_negative_seed_exits_2_before_any_work(sim_dir, tmp_path, capsys, monkeypatch,
+                                               command):
+    monkeypatch.setattr(optimizer, "fit_population",
+                        lambda *args: pytest.fail("population fit ran"))
+    out = tmp_path / "out"
+    if command == "simulate":
+        args = ("simulate", "--n", 10, "--p", 2, "--k", 3, "--seed", -1, "--out", out)
+    else:
+        args = train_args(sim_dir, out, "--seed", -1)  # the last --seed wins
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 class TestTrain:
@@ -734,6 +749,24 @@ class TestEvaluate:
         ) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", ["predictions", "omega-true"])
+    def test_overflowing_scores_are_refused_in_one_line(
+        self, sim_dir, fitted, tmp_path, capsys, side
+    ):
+        y = storage.read_column_csv(sim_dir / "Y.csv")
+        pred = tmp_path / "p.csv"
+        self.write_predictions(pred, np.where(np.arange(len(y)) % 2, 1e200, -1e200)
+                               if side == "predictions" else y)
+        args = ("evaluate", "--predictions", pred, "--responses", sim_dir / "Y.csv")
+        if side == "omega-true":
+            omega = tmp_path / "omega.csv"
+            storage.write_matrix_csv(omega, np.full((len(y), 2), 1e200), ["t0", "t1"])
+            args += ("--omega-true", omega, "--model", fitted / "model.json")
+        out = tmp_path / "m.json"
+        code, err = run_quietly(capsys, *args, "--out", out)
+        assert (code, err) == (2, f"error: {out}: refusing to write a non-finite value\n")
+        assert not out.exists()
+
     def test_recovery_against_truth(self, sim_dir, fitted, tmp_path):
         meta = storage.load_json(sim_dir / "meta.json")
         _, omega = storage.read_matrix_csv(sim_dir / "omega_true.csv")
@@ -799,14 +832,17 @@ def test_json_output_rejects_non_finite(tmp_path):
         storage.dump_json(path, {"mse": float("nan")})
     assert not path.exists()
     storage.dump_json(path, {"a": 1})
+    with pytest.raises(ValueError, match=f"^{path}: refusing to write a non-finite value$"):
+        storage.dump_json(path, {"a": [float("inf")]})
     before = path.read_bytes()
     with pytest.raises(ValueError):
         storage.dump_json(path, {"a": float("nan")})
     with pytest.raises(TypeError):
         storage.dump_json(path, {"a": object()})
     assert path.read_bytes() == before
-    with pytest.raises(ValueError):
-        storage.write_trace_jsonl(tmp_path / "t.jsonl", [{"objective": float("inf")}])
+    trace = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match=f"^{trace}: refusing to write a non-finite value$"):
+        storage.write_trace_jsonl(trace, [{"objective": float("inf")}])
 
 
 @pytest.mark.parametrize(
@@ -840,9 +876,9 @@ def test_malformed_row_is_reported_at_its_line(tmp_path, capsys, name, text, lin
 
 @pytest.mark.parametrize(
     "text, kinds, message",
-    [("u0,u1\n1.5,a\n\nnan,b\n", None, ":4: covariate 'u0' is non-finite"),
+    [("u0,u1\n1.5,a\n\nnan,b\n", None, ":4: column 'u0' is not finite"),
      ("u0,u1\n1.5,2.0\n\n2.0,x\n", ["continuous", "continuous"],
-      ":4: covariate 'u1' is not numeric")],
+      ":4: column 'u1' is not a number")],
     ids=["non-finite", "non-numeric"],
 )
 def test_covariate_cell_error_names_its_file_line(tmp_path, text, kinds, message):
@@ -854,10 +890,81 @@ def test_covariate_cell_error_names_its_file_line(tmp_path, text, kinds, message
     assert str(err.value).startswith(f"{path}{message}")
 
 
+def spoil_cell(path, line, column, cell):
+    """Replace the cell of ``column`` on file line ``line`` of a CSV."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cell, what", [("abc", "is not a number"), ("nan", "is not finite")])
+@pytest.mark.parametrize(
+    "command, flag, column",
+    [("train", "--x", "x1"), ("train", "--y", "y"), ("train", "--u", "u1"),
+     ("predict", "--x", "x1"), ("predict", "--u", "u1"),
+     ("evaluate", "--predictions", "y_hat"), ("evaluate", "--responses", "y"),
+     ("evaluate", "--omega-true", "theta1")],
+)
+def test_bad_numeric_cell_exits_2_naming_file_line_and_column(
+    sim_dir, fitted, tmp_path, capsys, command, flag, column, cell, what
+):
+    out = tmp_path / "out"
+    if command == "train":
+        # the schema makes every covariate continuous, so "abc" is refused
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(
+            {"columns": [{"name": f"u{i}", "kind": "continuous"} for i in range(3)]}))
+        args = train_args(sim_dir, out, "--schema", schema, "--max-iters", 2)
+    elif command == "predict":
+        args = ("predict", "--model", fitted / "model.json", "--x", sim_dir / "X.csv",
+                "--u", sim_dir / "U.csv", "--out", out)
+    else:
+        pred = tmp_path / "pred.csv"
+        y = storage.read_column_csv(sim_dir / "Y.csv")
+        storage.write_csv(pred, ["row_id", "y_hat", "neighbor_ids"],
+                          [[i, v, "0"] for i, v in enumerate(y.tolist())])
+        args = ("evaluate", "--predictions", pred, "--responses", sim_dir / "Y.csv",
+                "--omega-true", sim_dir / "omega_true.csv",
+                "--model", fitted / "model.json", "--out", out)
+    path = Path(args[args.index(flag) + 1])
+    spoil_cell(path, 3, column, cell)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: column {column!r} {what}\n"
+    assert not out.exists()
+
+
+def test_inputs_with_a_byte_order_mark_give_the_same_artifacts(sim_dir, tmp_path):
+    """Spreadsheet tools start a UTF-8 file with a byte-order mark; a
+    reader takes it for neither a header name nor JSON."""
+    (sim_dir / "config.json").write_text(json.dumps({"max_iters": 5}))
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in ("X.csv", "Y.csv", "U.csv", "config.json"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (sim_dir / name).read_bytes())
+    for src in (sim_dir, marked):
+        assert run_cli(
+            "train", "--x", src / "X.csv", "--y", src / "Y.csv", "--u", src / "U.csv",
+            "--config", src / "config.json", "--seed", 5, "--trace", "--out", src / "fit",
+        ) == 0
+        assert run_cli(
+            "predict", "--model", src / "fit" / "model.json", "--x", src / "X.csv",
+            "--u", src / "U.csv", "--out", src / "pred.csv",
+        ) == 0
+    for name in ("fit/model.json", "fit/Z_embedding.csv", "fit/phi.csv",
+                 "fit/trace.jsonl", "pred.csv"):
+        assert (marked / name).read_bytes() == (sim_dir / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
         ("config-list", "config file must hold a JSON object"),
+        ("config-trailing-comma", "Expecting property name enclosed in double quotes"),
+        ("schema-truncated", "Expecting value: line 1 column 14 (char 13)"),
+        ("model-truncated", "Expecting property name enclosed in double quotes"),
         ("omega-without-model", "--omega-true requires --model"),
         ("no-y-hat", "missing y_hat column"),
         ("two-column-responses", "expected one column, found 2"),
@@ -872,10 +979,20 @@ def test_rejected_input_exits_2_with_its_message(sim_dir, tmp_path, capsys, case
     truth.write_text("y\n0.5\n")
     args = ("evaluate", "--predictions", pred, "--responses", truth,
             "--out", tmp_path / "m.json")
-    if case == "config-list":
-        config = tmp_path / "c.json"
-        config.write_text("[1, 2]")
-        args = train_args(sim_dir, tmp_path / "fit", "--config", config)
+    named = None  # the JSON file that a message must name, once
+    if case.startswith("config"):
+        named = tmp_path / "c.json"
+        named.write_text("[1, 2]" if case == "config-list" else '{"l1": 0.1,}')
+        args = train_args(sim_dir, tmp_path / "fit", "--config", named)
+    elif case == "schema-truncated":
+        named = tmp_path / "s.json"
+        named.write_text('{"columns": [')
+        args = train_args(sim_dir, tmp_path / "fit", "--schema", named)
+    elif case == "model-truncated":
+        named = tmp_path / "model.json"
+        named.write_text("{")
+        args = ("predict", "--model", named, "--x", sim_dir / "X.csv",
+                "--u", sim_dir / "U.csv", "--out", tmp_path / "p2.csv")
     elif case == "omega-without-model":
         args += ("--omega-true", sim_dir / "omega_true.csv")
     elif case == "no-y-hat":
@@ -893,7 +1010,10 @@ def test_rejected_input_exits_2_with_its_message(sim_dir, tmp_path, capsys, case
         truth.write_bytes(b"")
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    if named is not None:
+        assert err.startswith(f"error: {named}: {message}")
+        assert err.count(str(named)) == 1
 
 
 def test_matrix_header_must_match_its_width(tmp_path):
@@ -934,7 +1054,7 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
 
 @pytest.mark.parametrize(
     "kinds, message",
-    [(["continuous", "continuous"], "'u1' is not numeric"),
+    [(["continuous", "continuous"], "'u1' is not a number"),
      (["continuous", ""], "kind ''")],
     ids=["non-numeric", "unknown-kind"],
 )

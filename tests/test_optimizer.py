@@ -331,6 +331,28 @@ class TestFit:
         model = fit(clf, HyperParams(max_iters=20), seed=9)
         assert model.task == "classification"
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(True, "seed must be an integer, got True"),
+         (None, "seed must be an integer, got None"),
+         (1.5, "seed must be an integer, got 1.5"),
+         (-1, "seed must be >= 0, got -1")],
+    )
+    def test_bad_seed_is_named_before_the_population_fit(self, monkeypatch, seed, message):
+        ds = small_dataset(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            initialize(ds, HyperParams(), np.zeros(ds.p), seed=seed)
+        monkeypatch.setattr("persreg.optimizer.fit_population",
+                            lambda *args: pytest.fail("population fit ran"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(ds, HyperParams(max_iters=0), seed=seed)
+
+    def test_integer_numpy_seed_is_the_same_seed(self):
+        ds = small_dataset(np.random.default_rng(0))
+        want = fit(ds, HyperParams(max_iters=2), seed=3)
+        got = fit(ds, HyperParams(max_iters=2), seed=np.int64(3))
+        assert np.array_equal(got.factorization.loadings, want.factorization.loadings)
+
     def test_population_config_of_another_task_rejected(self):
         # a squared-loss anchor for 0/1 labels is not stationary for the
         # logistic loss that training uses

@@ -83,7 +83,9 @@ class TestGenerate:
          ({"n_covariates": True}, "n_covariates must be an integer, got True"),
          ({"noise_std": -1.0}, "noise_std must be >= 0"),
          ({"noise_std": float("nan")}, "noise_std must be finite, got nan"),
-         ({"noise_std": float("inf")}, "noise_std must be finite, got inf")],
+         ({"noise_std": float("inf")}, "noise_std must be finite, got inf"),
+         ({"seed": None}, "seed must be an integer, got None"),
+         ({"seed": -1}, "seed must be >= 0, got -1")],
     )
     def test_bad_argument_is_named(self, kwargs, message):
         args = {"n": 10, "p": 2, "n_covariates": 2, "seed": 0, **kwargs}
