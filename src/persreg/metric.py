@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CovariateTable, NumericalError
+from .model import CovariateTable, NumericalError, Range, check_number
 
 RADIUS_NUDGE = 1e-12
 # A grid of cells h wide holds every pair whose squared distance lies below
@@ -36,7 +36,7 @@ GUESS_SLACK = 1.2
 
 def precompute_cache(covariates: CovariateTable) -> CovariateTable:
     """The training table, its covariate encoding built.  Kept as the fit's
-    probe point until ROADMAP item 3 redefines the benchmark's probes."""
+    probe point until ROADMAP items 13 and 10 retire the training probes."""
     covariates.encoding  # a cached property: reading it builds it
     return covariates
 
@@ -78,8 +78,7 @@ def _checked_loadings(loadings) -> np.ndarray:
 
 
 def _check_radius(radius) -> None:
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    check_number("radius", radius, bound=Range(0, strict=True))
 
 
 def _grid_axes(loadings) -> tuple:

@@ -23,7 +23,7 @@ import numbers
 import sys
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Sequence, get_args, get_type_hints
+from typing import Annotated, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -59,9 +59,31 @@ def _frozen_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def check_number(name: str, value, integer: bool = False) -> None:
-    """Refuse, naming ``name``, a ``value`` that is a bool, or that is not
-    an integer when ``integer`` is set and otherwise not a finite real."""
+@dataclass(frozen=True)
+class Range:
+    """The bound of a numeric value: at least ``low``, or above it when
+    ``strict``, and below ``high`` when one is given.  A settings field
+    declares it in its type hint, as ``Annotated[float, Range(0)]``."""
+
+    low: float
+    strict: bool = False
+    high: float | None = None
+
+    def holds(self, value) -> bool:
+        above = value > self.low if self.strict else value >= self.low
+        return above and (self.high is None or value < self.high)
+
+    def __str__(self) -> str:
+        """The rule as a refusal states it: ``be >= 0`` or ``lie in (0, 1)``."""
+        if self.high is None:
+            return f"be {'>' if self.strict else '>='} {self.low}"
+        return f"lie in {'(' if self.strict else '['}{self.low}, {self.high})"
+
+
+def check_number(name: str, value, integer: bool = False, bound=None) -> None:
+    """Refuse, naming ``name`` and ``value``, a ``value`` that is a bool,
+    that is not an integer when ``integer`` is set and otherwise not a
+    finite real, or that lies outside the ``Range`` ``bound``."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a real number"
@@ -69,35 +91,36 @@ def check_number(name: str, value, integer: bool = False) -> None:
     # a comparison, unlike math.isfinite, also takes an int beyond float range
     if not (integer or abs(value) <= sys.float_info.max):
         raise ValueError(f"{name} must be finite, got {value}")
+    if bound is not None and not bound.holds(value):
+        raise ValueError(f"{name} must {bound}, got {value}")
 
 
 def check_seed(seed) -> None:
-    """Refuse a seed that is not an integer >= 0, as ``check_number``
-    refuses a setting, before any random number is drawn."""
-    check_number("seed", seed, integer=True)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    """Refuse a seed that is not an integer >= 0, before any draw."""
+    check_number("seed", seed, integer=True, bound=Range(0))
 
 
 @cache
 def _numeric_fields(cls) -> tuple:
-    """(name, integer, optional) per int or float field of a settings class."""
+    """(name, integer, optional, bound) per int or float field of a class."""
     fields = []
-    for name, hint in get_type_hints(cls).items():
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        hint, bound = get_args(hint) if get_origin(hint) is Annotated else (hint, None)
         kind, *rest = get_args(hint) or (hint,)
         if kind in (int, float):
-            fields.append((name, kind is int, type(None) in rest))
+            fields.append((name, kind is int, type(None) in rest, bound))
     return tuple(fields)
 
 
 def check_settings(settings) -> None:
-    """Check each int or float field of a settings dataclass by its type
-    hint with ``check_number``; None passes where the hint allows it.
-    Values are never converted, so a saved model keeps its bytes."""
-    for name, integer, optional in _numeric_fields(type(settings)):
+    """Check each int or float field of a settings dataclass, its kind and
+    its ``Range`` from the type hint, with ``check_number``; None passes
+    where the hint allows it.  Values are never converted, so a saved model
+    keeps its bytes."""
+    for name, integer, optional, bound in _numeric_fields(type(settings)):
         value = getattr(settings, name)
         if not (optional and value is None):
-            check_number(name, value, integer)
+            check_number(name, value, integer, bound)
 
 
 def validate_task(task: str) -> str:
@@ -379,57 +402,31 @@ class HyperParams:
     targeting 10 neighbors on average.
     """
 
-    l1: float = 1e-1
-    distance_match: float = 1e5
-    weights_anchor: float = 1e-2
-    latent_dim: int = 2
-    radius: float | None = None
-    target_neighbors: float | None = 10.0
-    lr_init: float = 1e-4
-    lr_decay: float = 1.0 - 1e-4
-    init_noise: float = 1e-4
-    rate_floor: float = 1e-3
-    n_neighbors: int = 3
-    max_iters: int = 5000
-    rel_tol: float = 1e-6
+    l1: Annotated[float, Range(0)] = 1e-1
+    distance_match: Annotated[float, Range(0)] = 1e5
+    weights_anchor: Annotated[float, Range(0)] = 1e-2
+    latent_dim: Annotated[int, Range(1)] = 2
+    radius: Annotated[float | None, Range(0, strict=True)] = None
+    target_neighbors: Annotated[float | None, Range(0, strict=True)] = 10.0
+    lr_init: Annotated[float, Range(0, strict=True)] = 1e-4
+    lr_decay: Annotated[float, Range(0, strict=True, high=1)] = 1.0 - 1e-4
+    init_noise: Annotated[float, Range(0, strict=True)] = 1e-4
+    rate_floor: Annotated[float, Range(0, strict=True)] = 1e-3
+    n_neighbors: Annotated[int, Range(1)] = 3
+    max_iters: Annotated[int, Range(0)] = 5000
+    rel_tol: Annotated[float, Range(0, strict=True)] = 1e-6
 
     def __post_init__(self):
         check_settings(self)
-        if self.l1 < 0:
-            raise ValueError("l1 strength must be >= 0")
-        if self.distance_match < 0:
-            raise ValueError("distance_match strength must be >= 0")
-        if self.weights_anchor < 0:
-            raise ValueError("weights_anchor strength must be >= 0")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
         if self.radius is None and self.target_neighbors is None:
             raise ValueError("set either radius or target_neighbors")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be > 0")
-        if self.target_neighbors is not None and self.target_neighbors <= 0:
-            raise ValueError("target_neighbors must be > 0")
-        if self.lr_init <= 0:
-            raise ValueError("lr_init must be > 0")
-        if not (0.0 < self.lr_decay < 1.0):
-            raise ValueError("lr_decay must lie in (0, 1)")
-        if self.init_noise <= 0:
-            raise ValueError("init_noise must be > 0")
-        if self.rate_floor <= 0:
-            raise ValueError("rate_floor must be > 0")
-        if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
 
     def with_overrides(self, **kwargs) -> "HyperParams":
         return replace(self, **kwargs)
 
 
 # the fields that count something; every other field is a real number
-INTEGER_HYPERS = tuple(name for name, integer, _ in _numeric_fields(HyperParams) if integer)
+INTEGER_HYPERS = tuple(name for name, integer, *_ in _numeric_fields(HyperParams) if integer)
 
 
 @dataclass(frozen=True)

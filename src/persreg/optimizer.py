@@ -16,6 +16,8 @@ At the defaults (``generate(500, 5, 5, seed)``, seeds 0-2) the weight-rate
 cap binds on every step measured, at about 3e-5 of the global rate through
 step 1000.  The loading back-off acts only early: it scales the step by
 about 2e-6 at step 0 and 1e-4 to 5e-4 at step 100, and is idle by step 500.
+The dictionary block has no safeguard: it steps at the bare global rate, so
+responses 100 times the simulated ones make a default fit diverge (README).
 
 Neither safeguard can increase a step, and the backoff rescales every
 sample equally, so the center-of-mass bookkeeping (the per-iteration bound

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .model import REGRESSION, Dataset, NumericalError, check_settings, validate_task
+from .model import REGRESSION, Dataset, NumericalError, Range, check_settings, validate_task
 from .objective import score_terms
 
 
@@ -33,20 +34,17 @@ class ElasticNetConvergenceError(NumericalError):
 
 @dataclass(frozen=True)
 class ElasticNetConfig:
-    l1: float = 1e-1
-    l2: float = 0.0
-    max_iters: int = 200_000
-    rel_tol: float = 1e-8
+    """Population-fit settings.  ``rel_tol`` bounds the absolute
+    infinity-norm stationarity residual, not a relative one (README)."""
+
+    l1: Annotated[float, Range(0)] = 1e-1
+    l2: Annotated[float, Range(0)] = 0.0
+    max_iters: Annotated[int, Range(1)] = 200_000
+    rel_tol: Annotated[float, Range(0, strict=True)] = 1e-8
     fit_task: str = REGRESSION
 
     def __post_init__(self):
         check_settings(self)
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("regularization strengths must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
         validate_task(self.fit_task)
 
 

@@ -19,6 +19,7 @@ from .model import (
     REGRESSION,
     CovariateTable,
     Dataset,
+    Range,
     check_number,
     check_seed,
     validate_task,
@@ -65,13 +66,9 @@ def generate(
     predictors; instrumented training runs require that normalization.
     """
     for name, value in (("n", n), ("p", p), ("n_covariates", n_covariates)):
-        check_number(name, value, integer=True)
-    check_number("noise_std", noise_std)
+        check_number(name, value, integer=True, bound=Range(1))
+    check_number("noise_std", noise_std, bound=Range(0))
     check_seed(seed)
-    if min(n, p, n_covariates) < 1:
-        raise ValueError("n, p and n_covariates must all be >= 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, p))
     U = rng.uniform(0.0, 1.0, size=(n, n_covariates))

@@ -71,22 +71,26 @@ def read_csv(path) -> tuple:
     """Returns (header, columns, lines): the non-blank data rows, each
     checked to be as wide as the header, as one tuple of cells per column,
     and the line of the file each row ends on.  A UTF-8 byte-order mark
-    before the header is skipped."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} cells"
-                )
-            rows.append(row)
-            lines.append(reader.line_num)
+    before the header is skipped; a file that does not decode raises a
+    ValueError that starts with the path."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty CSV")
+            rows, lines = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected {len(header)} cells"
+                    )
+                rows.append(row)
+                lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return header, _columns(rows, len(header)), lines
 
 

@@ -7,9 +7,14 @@ nothing but the tests reaches does not belong in the library.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +22,7 @@ import pytest
 
 import persreg
 from persreg import cli, storage
+from persreg.model import HyperParams, Range
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_FILES = sorted((ROOT / "src" / "persreg").glob("*.py"))
@@ -181,3 +187,54 @@ def test_every_library_definition_has_a_user_outside_the_tests():
         and not re.search(rf"\b{node.name}\b", outside)
     ]
     assert unused == []
+
+
+def readme_hyper_rows() -> list:
+    """(name, default, range) per row of the README's hyperparameter table,
+    each cell as written between its backticks."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Hyperparameters\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` +\| `([^`]+)` +\| `([^`]+)` +\|", section, re.M)
+
+
+def range_text(bound: Range) -> str:
+    """A bound as the README's range column writes it."""
+    if bound.high is None:
+        return f"{'>' if bound.strict else '>='} {bound.low}"
+    return f"{'(' if bound.strict else '['}{bound.low}, {bound.high})"
+
+
+def test_readme_hyperparameter_table_matches_the_class():
+    """Every ``HyperParams`` field has exactly one row, with its default and
+    its declared range, so a field added without a row fails here."""
+    rows = readme_hyper_rows()
+    names = [name for name, _, _ in rows]
+    fields = [field.name for field in dataclasses.fields(HyperParams)]
+    assert sorted(names) == sorted(fields)
+    hints = typing.get_type_hints(HyperParams, include_extras=True)
+    for name, default, bound in rows:
+        # a default cell is a number, an arithmetic of numbers, or None
+        value = eval(default, {"__builtins__": {}})
+        assert value == HyperParams.__dataclass_fields__[name].default, name
+        assert bound == range_text(hints[name].__metadata__[0]), name
+
+
+@pytest.mark.parametrize(
+    "script, args, last",
+    [("check_drift_bounds.py", ["--runs", "2", "--iters", "5"],
+      "all center-of-mass bounds hold"),
+     ("run_simulation_study.py", ["--seeds", "1", "--max-iters", "2"],
+      "2500 5 personalized")],
+)
+def test_script_runs_to_its_last_line(script, args, last):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    # the simulation study closes each setting with a timing note in brackets
+    lines = [line for line in done.stdout.splitlines()
+             if not line.strip().startswith("(")]
+    assert " ".join(lines[-1].split()).startswith(last)

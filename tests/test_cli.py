@@ -62,7 +62,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "value, message",
-        [("-1", "noise_std must be >= 0"),
+        [("-1", "noise_std must be >= 0, got -1.0"),
          ("nan", "noise_std must be finite, got nan"),
          ("inf", "noise_std must be finite, got inf")],
     )
@@ -73,6 +73,17 @@ class TestSimulate:
             f"--noise-std={value}", "--out", out,
         ) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--n", "n"), ("--p", "p"), ("--k", "n_covariates")]
+    )
+    def test_size_below_one_is_named(self, tmp_path, capsys, flag, name):
+        sizes = {"--n": 10, "--p": 2, "--k": 3, flag: 0}
+        out = tmp_path / "x"
+        assert run_cli("simulate", *[a for kv in sizes.items() for a in kv],
+                       "--seed", 1, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got 0\n"
         assert not out.exists()
 
 
@@ -933,6 +944,41 @@ def test_bad_numeric_cell_exits_2_naming_file_line_and_column(
     capsys.readouterr()
     assert run_cli(*args) == 2
     assert capsys.readouterr().err == f"error: {path}:3: column {column!r} {what}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--x"), ("train", "--y"), ("train", "--u"),
+     ("predict", "--x"), ("predict", "--u"),
+     ("evaluate", "--predictions"), ("evaluate", "--responses"),
+     ("evaluate", "--omega-true")],
+)
+def test_csv_that_is_not_utf8_exits_2_naming_its_file(
+    sim_dir, fitted, tmp_path, capsys, command, flag
+):
+    out = tmp_path / "out"
+    if command == "train":
+        args = train_args(sim_dir, out, "--max-iters", 2)
+    elif command == "predict":
+        args = ("predict", "--model", fitted / "model.json", "--x", sim_dir / "X.csv",
+                "--u", sim_dir / "U.csv", "--out", out)
+    else:
+        pred = tmp_path / "pred.csv"
+        y = storage.read_column_csv(sim_dir / "Y.csv")
+        storage.write_csv(pred, ["row_id", "y_hat", "neighbor_ids"],
+                          [[i, v, "0"] for i, v in enumerate(y.tolist())])
+        args = ("evaluate", "--predictions", pred, "--responses", sim_dir / "Y.csv",
+                "--omega-true", sim_dir / "omega_true.csv",
+                "--model", fitted / "model.json", "--out", out)
+    path = Path(args[args.index(flag) + 1])
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n\xe9" + rest)  # a Latin-1 "é" opens row 1
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

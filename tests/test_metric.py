@@ -396,6 +396,21 @@ class TestNeighborSets:
         with pytest.raises(ValueError, match="radius"):
             candidate_pairs(np.zeros((1, 2)), 0.0)
 
+    @pytest.mark.parametrize(
+        "radius, message",
+        [(0.0, "radius must be > 0, got 0.0"),
+         (-1, "radius must be > 0, got -1"),
+         (float("inf"), "radius must be finite, got inf"),
+         (float("nan"), "radius must be finite, got nan")],
+    )
+    def test_bad_radius_is_refused_with_its_value(self, radius, message):
+        near = candidate_pairs(np.zeros((1, 2)), 1.0)
+        for call in (lambda: neighbor_sets(near, radius),
+                     lambda: candidate_pairs(np.zeros((1, 2)), radius)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+
     def test_symmetric_relation(self):
         rng = np.random.default_rng(3)
         members = members_of(sets_at(rng.standard_normal((3, 40)), 2.0), 40)

@@ -1,15 +1,18 @@
 import dataclasses
+import math
 import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from persreg.cli import main
 from persreg.model import (
     CovariateTable,
     Dataset,
     Factorization,
     HyperParams,
+    Range,
     TrainedModel,
     center_of_mass,
     coefficient_matrix,
@@ -269,6 +272,97 @@ def test_every_setting_keeps_its_default_and_a_numpy_scalar(cls, name, integer):
     value = (np.int64 if integer else np.float64)(default or 1)
     kept = getattr(cls(**{name: value}), name)
     assert type(kept) is type(value) and kept == value
+
+
+def declared_bounds():
+    """(class, field name, integer, Range) for every settings field whose
+    type hint declares a bound, read from the classes themselves."""
+    out = []
+    for cls in (HyperParams, ElasticNetConfig):
+        for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+            if typing.get_origin(hint) is typing.Annotated:
+                kind, bound = typing.get_args(hint)
+                assert isinstance(bound, Range), name
+                out.append((cls, name, int in (typing.get_args(kind) or [kind]), bound))
+    return out
+
+
+def refusal(name, bound, value) -> str:
+    """The one line that refuses ``value`` for ``name`` outside ``bound``."""
+    if bound.high is None:
+        rule = f"be {'>' if bound.strict else '>='} {bound.low}"
+    else:
+        rule = f"lie in {'(' if bound.strict else '['}{bound.low}, {bound.high})"
+    return f"{name} must {rule}, got {value}"
+
+
+def next_toward(value, to, integer: bool):
+    """The next integer, or the next float, from ``value`` toward ``to``."""
+    if integer:
+        return value + (1 if to > value else -1)
+    return math.nextafter(value, to)
+
+
+def edge_cases():
+    """(class, name, bound, value at an edge, accepted, value just past it)
+    per edge of every declared bound: the low edge, and the high one, which
+    is always excluded."""
+    out = []
+    for cls, name, integer, bound in declared_bounds():
+        low = bound.low if integer else float(bound.low)
+        past = next_toward(low, -math.inf, integer)
+        out.append((cls, name, bound, low, not bound.strict, past))
+        if bound.high is not None:
+            high = bound.high if integer else float(bound.high)
+            past = next_toward(high, math.inf, integer)
+            out.append((cls, name, bound, high, False, past))
+    return out
+
+
+def test_every_numeric_setting_declares_a_bound():
+    declared = {(cls, name) for cls, name, _, _ in declared_bounds()}
+    assert declared == {(cls, name) for cls, name, _ in numeric_settings()}
+
+
+# the range rule, generated from the declarations, so a field added later
+# is checked at its bound the day it lands
+@pytest.mark.parametrize(
+    "cls, name, bound, edge, accepted, past",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}={case[3]}")
+     for case in edge_cases()],
+)
+def test_every_bound_holds_at_its_edge_and_refuses_past_it(
+    cls, name, bound, edge, accepted, past
+):
+    if accepted:
+        assert getattr(cls(**{name: edge}), name) == edge
+    else:
+        with pytest.raises(ValueError) as refused:
+            cls(**{name: edge})
+        assert str(refused.value) == refusal(name, bound, edge)
+    with pytest.raises(ValueError) as refused:
+        cls(**{name: past})
+    assert str(refused.value) == refusal(name, bound, past)
+
+
+@pytest.mark.parametrize(
+    "name, bound, past",
+    [pytest.param(name, bound, past, id=f"{name}={past}")
+     for cls, name, bound, _, _, past in edge_cases() if cls is HyperParams],
+)
+def test_train_flag_past_its_bound_exits_2_before_reading_data(
+    tmp_path, capsys, name, bound, past
+):
+    # the data files do not exist, so reading any of them would fail otherwise
+    out = tmp_path / "fit"
+    code = main([
+        "train", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+        "--u", str(tmp_path / "U.csv"), "--out", str(out), "--seed", "1",
+        f"--{name.replace('_', '-')}={past}",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {refusal(name, bound, past)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

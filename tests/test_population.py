@@ -115,10 +115,10 @@ class TestFitPopulation:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"l1": -0.1}, "regularization strengths must be >= 0"),
-         ({"l2": -1e-9}, "regularization strengths must be >= 0"),
-         ({"max_iters": 0}, "max_iters must be >= 1"),
-         ({"rel_tol": 0.0}, "rel_tol must be > 0")],
+        [({"l1": -0.1}, "l1 must be >= 0, got -0.1"),
+         ({"l2": -1e-9}, "l2 must be >= 0, got -1e-09"),
+         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+         ({"rel_tol": 0.0}, "rel_tol must be > 0, got 0.0")],
     )
     def test_config_out_of_range_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

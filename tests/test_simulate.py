@@ -81,7 +81,7 @@ class TestGenerate:
         [({"n": 2.5}, "n must be an integer, got 2.5"),
          ({"p": 2.0}, "p must be an integer, got 2.0"),
          ({"n_covariates": True}, "n_covariates must be an integer, got True"),
-         ({"noise_std": -1.0}, "noise_std must be >= 0"),
+         ({"noise_std": -1.0}, "noise_std must be >= 0, got -1.0"),
          ({"noise_std": float("nan")}, "noise_std must be finite, got nan"),
          ({"noise_std": float("inf")}, "noise_std must be finite, got inf"),
          ({"seed": None}, "seed must be an integer, got None"),
@@ -91,6 +91,23 @@ class TestGenerate:
         args = {"n": 10, "p": 2, "n_covariates": 2, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=f"^{message}$"):
             generate(**args)
+
+    @pytest.mark.parametrize(
+        "name, edge, past, message",
+        [("n", 1, 0, "n must be >= 1, got 0"),
+         ("p", 1, 0, "p must be >= 1, got 0"),
+         ("n_covariates", 1, 0, "n_covariates must be >= 1, got 0"),
+         ("noise_std", 0.0, -5e-324, "noise_std must be >= 0, got -5e-324"),
+         ("seed", 0, -1, "seed must be >= 0, got -1")],
+    )
+    def test_argument_at_its_bound_is_taken_and_past_it_named(
+        self, name, edge, past, message
+    ):
+        args = {"n": 10, "p": 2, "n_covariates": 2, "seed": 0}
+        generate(**{**args, name: edge})
+        with pytest.raises(ValueError) as refused:
+            generate(**{**args, name: past})
+        assert str(refused.value) == message
 
 
 class TestEvaluateRecovery:
