@@ -149,8 +149,12 @@ def _grid(loadings, axes, width: float) -> Candidates:
 
     sq = np.zeros(total, dtype=float)
     diff = np.empty(total, dtype=float)
-    for row in loadings[:, order]:
-        np.subtract(row[first], row[second], out=diff)
+    ends = np.empty(total, dtype=float)
+    for row in loadings.take(order, axis=1):
+        # "clip" writes straight into out= where "raise" buffers a copy; the
+        # indices lie in [0, n) by construction
+        row.take(first, out=diff, mode="clip")
+        diff -= row.take(second, out=ends, mode="clip")
         np.multiply(diff, diff, out=diff)
         sq += diff
     adjacent = cx.max() <= 1 and cy.max() <= 1

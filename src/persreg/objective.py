@@ -9,10 +9,18 @@ ascending order, and scatter with ``np.bincount``, which adds in sequence.
 That fixed arithmetic order is a contract: a brute-force oracle that walks
 pairs the same way reproduces every value bit for bit, and runs are
 reproducible regardless of how the pair list was discovered.
+
+Loading rows are gathered with ``take``, one row at a time, into ``out=``
+arrays: a 2-D fancy index of the loadings gives the same bytes several
+times slower.  The pair-length work arrays of a step come from a
+``Scratch`` that lives for one fit and is handed to each of its steps, so
+a step does not map fresh memory for them; nothing a ``Scratch`` holds is
+ever returned, and every value a step returns is a fresh array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,27 @@ class GradientBundle:
     grad_loadings: np.ndarray  # q x n
     grad_dictionary: np.ndarray  # q x p
     grad_weights: np.ndarray  # k
+
+
+class Scratch:
+    """Work arrays reused by the steps of one fit.
+
+    ``take(name, *shape)`` hands out a view of the array kept under
+    ``name``, replaced by a larger one when it is too short.  Its contents
+    are whatever the last step left there, so a user writes every entry
+    before reading it, and never returns the view or anything that shares
+    its memory: the next step overwrites it.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, name: str, *shape: int, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or len(array) < size:
+            array = self._arrays[name] = np.empty(size, dtype=dtype)
+        return array[:size].reshape(shape)
 
 
 def _logistic(z, e) -> np.ndarray:
@@ -101,7 +130,9 @@ def resolve_pairs(loadings, covariates: CovariateTable, hyper: HyperParams) -> t
     return radius, neighbor_pairs(neighbor_sets(near, radius), covariates)
 
 
-def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:
+def distance_match(
+    loadings, weights, pairs: NeighborPairs, strength, scratch: Scratch | None = None
+) -> tuple:
     """Distance-matching penalties and their gradients, from one pass over
     the pairs.
 
@@ -112,7 +143,8 @@ def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:
     -2 * strength * mismatch * (Z_i - Z_j) from its own ball plus the equal
     cross terms from balls it belongs to; all i-side contributions are
     scattered before the j-side ones.  The columns sum to zero by the
-    antisymmetry of the pair terms.
+    antisymmetry of the pair terms.  The pair-length work arrays come from
+    ``scratch``, a fresh one when it is None.
     """
     loadings = np.asarray(loadings, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -123,27 +155,42 @@ def distance_match(loadings, weights, pairs: NeighborPairs, strength) -> tuple:
         raise ValueError("weights length must match the number of covariates")
     grad_loadings = np.zeros((q, n), dtype=float)
     grad_weights = np.zeros(k, dtype=float)
-    if strength == 0.0 or len(i_idx) == 0:
+    m = len(i_idx)
+    if strength == 0.0 or m == 0:
         return np.zeros(n, dtype=float), grad_loadings, grad_weights
+    if scratch is None:
+        scratch = Scratch()
+    term = scratch.take("term", m)
 
     # mismatch rho(i,j) - ||Z_i - Z_j||^2 per pair
-    rho = np.zeros(len(i_idx), dtype=float)
+    rho = scratch.take("rho", m)
+    rho.fill(0.0)
     for w, dist in zip(weights, distances):
-        rho += w * dist
-    deltas = loadings[:, i_idx] - loadings[:, j_idx]
-    sq = np.zeros(len(i_idx), dtype=float)
-    for delta in deltas:
-        sq += delta * delta
-    mis = rho - sq
+        rho += np.multiply(w, dist, out=term)
+    deltas = scratch.take("deltas", q, m)
+    sq = scratch.take("sq", m)
+    sq.fill(0.0)
+    for row, delta in zip(loadings, deltas):
+        # "clip" writes straight into out= where "raise" buffers a copy; an
+        # index outside [0, n) still fails, in the bincounts below
+        row.take(i_idx, out=delta, mode="clip")
+        delta -= row.take(j_idx, out=term, mode="clip")
+        sq += np.multiply(delta, delta, out=term)
+    mis = np.subtract(rho, sq, out=rho)
 
-    values = 0.5 * strength * np.bincount(i_idx, mis * mis, n)
-    coeff = -2.0 * strength * mis
-    both = np.concatenate((i_idx, j_idx))
+    values = 0.5 * strength * np.bincount(i_idx, np.multiply(mis, mis, out=term), n)
+    coeff = np.multiply(-2.0 * strength, mis, out=sq)
+    both = np.concatenate((i_idx, j_idx), out=scratch.take("both", 2 * m, dtype=np.intp))
+    signed = scratch.take("signed", 2 * m)
+    contrib, mirrored = signed[:m], signed[m:]
     for d, delta in enumerate(deltas):
-        contrib = coeff * delta
-        grad_loadings[d] = np.bincount(both, np.concatenate((contrib, -contrib)), n)
+        np.multiply(coeff, delta, out=contrib)
+        np.negative(contrib, out=mirrored)
+        grad_loadings[d] = np.bincount(both, signed, n)
     for idx, dist in enumerate(distances):
-        grad_weights[idx] = strength * float(np.sum(np.bincount(i_idx, mis * dist, n)))
+        grad_weights[idx] = strength * float(
+            np.sum(np.bincount(i_idx, np.multiply(mis, dist, out=term), n))
+        )
     return values, grad_loadings, grad_weights
 
 
@@ -153,6 +200,7 @@ def composite_objective(
     dataset: Dataset,
     hyper: HyperParams,
     pairs: NeighborPairs,
+    scratch: Scratch | None = None,
 ) -> GradientBundle:
     """Value and gradients of the full training objective.
 
@@ -162,7 +210,8 @@ def composite_objective(
     neighbor ``pairs`` (see ``resolve_pairs``).
 
     The dictionary gradient has no distance-matching contribution: that
-    penalty depends on the loadings and weights only.
+    penalty depends on the loadings and weights only.  ``scratch`` is
+    passed to ``distance_match``.
     """
     weights = np.asarray(weights, dtype=float)
     X, y, task = dataset.predictors, dataset.responses, dataset.task
@@ -180,7 +229,7 @@ def composite_objective(
     data_grads = loss_grads + penalty_grads  # p x n
 
     match_vals, match_gz, match_gw = distance_match(
-        fact.loadings, weights, pairs, hyper.distance_match
+        fact.loadings, weights, pairs, hyper.distance_match, scratch
     )
 
     anchor_diff = weights - 1.0

@@ -41,7 +41,7 @@ from .model import (
     center_of_mass,
     check_seed,
 )
-from .objective import composite_objective, resolve_pairs
+from .objective import Scratch, composite_objective, resolve_pairs
 from .population import ElasticNetConfig, fit_population
 
 
@@ -106,7 +106,7 @@ def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) ->
     )
 
 
-def _weight_rate_limit(alpha: float, pair_distances, hyper) -> float:
+def _weight_rate_limit(alpha: float, pair_distances, hyper, scratch: Scratch) -> float:
     """Stable scalar rate for the weight block.
 
     The distance-matching penalty is quadratic in the weights with Hessian
@@ -115,29 +115,38 @@ def _weight_rate_limit(alpha: float, pair_distances, hyper) -> float:
     of that trace, and the configured rate is used whenever it already is.
     ``pair_distances`` holds the (k, P) per-covariate distances of the pairs.
     """
-    total = hyper.distance_match * sum(float(np.sum(d * d)) for d in pair_distances)
+    square = scratch.take("term", pair_distances.shape[1])
+    total = hyper.distance_match * sum(
+        float(np.sum(np.multiply(d, d, out=square))) for d in pair_distances
+    )
     total += 2.0 * hyper.weights_anchor * pair_distances.shape[0]
     if total <= 0.0:
         return alpha
     return min(alpha, 1.0 / total)
 
 
-def train_step(state: TrainState, dataset: Dataset, hyper: HyperParams) -> TrainState:
+def train_step(
+    state: TrainState, dataset: Dataset, hyper: HyperParams, scratch: Scratch | None = None
+) -> TrainState:
     """One descent iteration.
 
     All gradients are evaluated at the snapshot taken on entry; the weight,
     loading, and dictionary blocks then move simultaneously.  Loading column
     i is scaled by the global rate divided by the (floored) infinity-norm
     distance of its coefficients from the population anchor.  The weight
-    projection keeps the metric nonnegative.
+    projection keeps the metric nonnegative.  The step's pair-length work
+    arrays come from ``scratch`` (``fit`` passes one to all its steps), a
+    fresh one when it is None; the returned state shares no memory with it.
     """
+    if scratch is None:
+        scratch = Scratch()
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
     radius, pairs = resolve_pairs(fact.loadings, dataset.covariates, hyper)
-    bundle = composite_objective(fact, weights, dataset, hyper, pairs)
+    bundle = composite_objective(fact, weights, dataset, hyper, pairs, scratch)
 
-    rate_w = _weight_rate_limit(alpha, pairs.distances, hyper)
+    rate_w = _weight_rate_limit(alpha, pairs.distances, hyper, scratch)
     new_weights = np.maximum(0.0, weights - rate_w * bundle.grad_weights)
 
     anchor_dist = np.max(
@@ -199,7 +208,9 @@ def fit(
     rate, objective, center-of-mass movement, and neighbor statistics.
     With ``instrument`` set and a regression task, records also carry the
     theoretical per-step and accumulated center-of-mass bounds.  ``seed``
-    must be an integer >= 0, checked before the population fit.
+    must be an integer >= 0, checked before the population fit.  One
+    ``Scratch`` holds the pair-length work arrays of every step, as
+    ``train_step``'s ``scratch``, and is dropped when the fit returns.
     """
     check_seed(seed)
     if hyper is None:
@@ -216,11 +227,12 @@ def fit(
 
         tracing = trace_fn is not None
         com = center_of_mass(state.factorization) if tracing else None
+        scratch = Scratch()
         for _ in range(hyper.max_iters):
             prev_value = state.last_value
             alpha = learning_rate(hyper, state.iteration)
             step_index = state.iteration
-            state = train_step(state, dataset, hyper)
+            state = train_step(state, dataset, hyper, scratch=scratch)
             if tracing:
                 new_com = center_of_mass(state.factorization)
                 record = {

@@ -175,7 +175,7 @@ def predict_batch(model: TrainedModel, X, covariate_rows) -> list:
         # each query's (q, k) neighbor loadings, contiguous, make one gemm of
         # the same shape and layout as a single row's
         loadings = np.ascontiguousarray(
-            fact.loadings[:, np.sort(ids, axis=1)].transpose(1, 0, 2)
+            fact.loadings.take(np.sort(ids, axis=1), axis=1).transpose(1, 0, 2)
         )
         coefficients = np.matmul(fact.dictionary.T, loadings).sum(axis=2) / kn
         # one dot product per row, the same call as a single row's x @ c

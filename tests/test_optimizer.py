@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from persreg import optimizer
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -12,6 +13,7 @@ from persreg.model import (
     center_of_mass,
     coefficient_matrix,
 )
+from persreg.objective import Scratch, composite_objective, distance_match, resolve_pairs
 from persreg.optimizer import (
     TrainState,
     _drift_bound,
@@ -20,7 +22,7 @@ from persreg.optimizer import (
     learning_rate,
     train_step,
 )
-from persreg.population import ElasticNetConfig
+from persreg.population import ElasticNetConfig, fit_population
 from persreg.simulate import generate
 
 
@@ -176,6 +178,97 @@ class TestTrainStep:
         hyper = HyperParams()
         for t in (0, 1, 7, 123):
             assert learning_rate(hyper, t) == hyper.lr_init * hyper.lr_decay**t
+
+
+def scratch_arrays(scratch):
+    return list(scratch._arrays.values())
+
+
+def state_arrays(state):
+    fact = state.factorization
+    return [fact.loadings, fact.dictionary, state.weights, state.population_coef]
+
+
+class TestScratch:
+    """A fit's steps share one ``Scratch``; sharing it changes no byte."""
+
+    @staticmethod
+    def start(radius=None, seed=5):
+        ds = generate(80, 3, 3, seed=seed).train_dataset()
+        hyper = HyperParams(radius=radius, lr_init=5e-2, init_noise=0.3)
+        pop = fit_population(ds, ElasticNetConfig(l1=hyper.l1))
+        return ds, hyper, initialize(ds, hyper, pop, seed=seed)
+
+    def test_nothing_from_the_scratch_escapes_a_step(self):
+        ds, hyper, state = self.start()
+        scratch = Scratch()
+        fact = state.factorization
+        _, pairs = resolve_pairs(fact.loadings, ds.covariates, hyper)
+        matched = distance_match(
+            fact.loadings, state.weights, pairs, hyper.distance_match, scratch
+        )
+        bundle = composite_objective(fact, state.weights, ds, hyper, pairs, scratch)
+        first = train_step(state, ds, hyper, scratch)
+        before = [a.tobytes() for a in state_arrays(first)]
+        train_step(first, ds, hyper, scratch)
+
+        assert [a.tobytes() for a in state_arrays(first)] == before
+        held = scratch_arrays(scratch)
+        assert held
+        returned = state_arrays(first) + list(matched) + [
+            bundle.coefficients,
+            bundle.grad_loadings,
+            bundle.grad_dictionary,
+            bundle.grad_weights,
+        ]
+        for a in returned:
+            assert not any(np.shares_memory(a, b) for b in held)
+
+    def test_shared_scratch_matches_fresh_ones_as_the_pair_count_moves(self):
+        # a fixed radius lets the pair count fall and then grow past its
+        # first value, so the shared arrays are both too long and too short
+        ds, hyper, start = self.start(radius=0.1)
+        scratch = Scratch()
+        shared, fresh = start, start
+        counts = []
+        for _ in range(12):
+            shared = train_step(shared, ds, hyper, scratch)
+            fresh = train_step(fresh, ds, hyper)
+            counts.append(shared.mean_neighbors)
+            for a, b in zip(state_arrays(shared), state_arrays(fresh)):
+                assert a.tobytes() == b.tobytes()
+            assert shared.last_value == fresh.last_value
+        assert min(counts) < counts[0] < max(counts)
+
+    def test_distance_match_after_a_larger_pair_set_matches_a_fresh_call(self):
+        ds, hyper, state = self.start()
+        loadings = state.factorization.loadings
+        weights = np.linspace(0.5, 1.5, ds.k)
+        wide = resolve_pairs(loadings, ds.covariates, HyperParams(radius=1.0))[1]
+        narrow = resolve_pairs(loadings, ds.covariates, HyperParams(radius=0.05))[1]
+        assert 0 < len(narrow.i_idx) < len(wide.i_idx)
+
+        scratch = Scratch()
+        distance_match(loadings, weights, wide, 2.0, scratch)
+        got = distance_match(loadings, weights, narrow, 2.0, scratch)
+        want = distance_match(loadings, weights, narrow, 2.0)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fit_hands_one_scratch_to_every_step(self, monkeypatch):
+        seen = []
+        step = optimizer.train_step
+
+        def recording(state, dataset, hyper, scratch=None):
+            seen.append(scratch)
+            return step(state, dataset, hyper, scratch)
+
+        monkeypatch.setattr(optimizer, "train_step", recording)
+        ds = generate(40, 2, 3, seed=8).train_dataset()
+        fit(ds, HyperParams(max_iters=5, rel_tol=1e-300), seed=8)
+        assert len(seen) == 5
+        assert isinstance(seen[0], Scratch)
+        assert all(s is seen[0] for s in seen)
 
 
 class TestFit:
