@@ -28,10 +28,15 @@ RADIUS_NUDGE = 1e-12
 # int64 cell keys far from overflow.
 REACH_MARGIN = 1e-5
 MAX_CELLS = 1 << 24
-# The automatic radius's first cell width is this many times the smallest
-# width that reaches the neighbor target on Gaussian loadings: on the
-# benchmark's fits it then takes one grid on nearly every step.
+# Without a hint, the automatic radius's first cell width is this many times
+# the smallest width that reaches the neighbor target on Gaussian loadings.
+# A fit uses it on its first step only.
 GUESS_SLACK = 1.2
+# With a hint, the first cell width is this many times the width that reaches
+# the hint.  A training step hints the radius of the step before it: at 1.25
+# no benchmark fit takes more grids than with the Gaussian guess on every
+# step, where 1.2 takes one more on serve's 30-step fit.
+HINT_SLACK = 1.25
 
 
 def precompute_cache(covariates: CovariateTable) -> CovariateTable:
@@ -130,7 +135,9 @@ def _grid(loadings, axes, width: float) -> Candidates:
     # one empty row above the highest keeps both ranges inside a column
     rows = int(cy.max()) + 2
     keys = cx * rows + cy
-    order = np.argsort(keys, kind="stable")
+    # the order of ties inside a cell does not change which unordered pairs
+    # are candidates, nor their squared distances
+    order = np.argsort(keys)
     keys = keys[order]
     starts = np.concatenate(
         (np.arange(1, n + 1), np.searchsorted(keys, keys + (rows - 1)))
@@ -186,10 +193,11 @@ def neighbor_sets(near: Candidates, radius: float) -> tuple:
     keep = np.flatnonzero(near.sq < radius)
     a = near.order[near.first[keep]]
     b = near.order[near.second[keep]]
-    n = len(near.order)
-    keys = np.concatenate((a * n + b, b * n + a))
+    # (i << shift) | j sorts as (i, j), since j < 2 ** shift
+    shift = (len(near.order) - 1).bit_length()
+    keys = np.concatenate(((a << shift) | b, (b << shift) | a))
     keys.sort()
-    return np.divmod(keys, n)
+    return keys >> shift, keys & ((1 << shift) - 1)
 
 
 def neighbor_pairs(pairs: tuple, covariates: CovariateTable) -> NeighborPairs:
@@ -199,7 +207,7 @@ def neighbor_pairs(pairs: tuple, covariates: CovariateTable) -> NeighborPairs:
     return NeighborPairs(i_idx, j_idx, covariates.pair_distances(i_idx, j_idx))
 
 
-def auto_radius(loadings, target_avg: float) -> tuple:
+def auto_radius(loadings, target_avg: float, hint: float | None = None) -> tuple:
     """Radius giving roughly ``target_avg`` neighbors per sample, with the
     candidates that reach it: (radius, candidates).
 
@@ -208,14 +216,17 @@ def auto_radius(loadings, target_avg: float) -> tuple:
     by a relative 1e-12 so the strict inequality keeps those m pairs inside
     (a zero distance gives ``RADIUS_NUDGE``).
 
-    The first grid's cells are sized from the spreads of the two widest
-    rows (see ``GUESS_SLACK``).  A grid answers when the m-th smallest
-    candidate distance, nudged, lies within its reach: every pair below the
-    reach is a candidate, so that distance is the m-th smallest over all
-    pairs, and the radius's pairs are all candidates.  Otherwise the next
-    grid reaches that radius, which holds the m-th smallest pair, or, with
-    fewer than m candidates, has cells twice as wide.  A grid two cells
-    wide takes every pair, so the search ends.
+    The first grid's cells are sized from ``hint``, a radius expected near
+    the answer, such as the previous training step's (see ``HINT_SLACK``),
+    or without one from the spreads of the two widest rows (see
+    ``GUESS_SLACK``).  A grid answers when the m-th smallest candidate
+    distance, nudged, lies within its reach: every pair below the reach is
+    a candidate, so that distance is the m-th smallest over all pairs, and
+    the radius's pairs are all candidates.  Otherwise the next grid reaches
+    that radius, which holds the m-th smallest pair, or, with fewer than m
+    candidates, has cells twice as wide.  A grid two cells wide takes every
+    pair, so the search ends, and the hint changes only how many grids it
+    takes, never the radius or its pairs.
     """
     loadings = _checked_loadings(loadings)
     n = loadings.shape[1]
@@ -226,16 +237,21 @@ def auto_radius(loadings, target_avg: float) -> tuple:
     m = min(int(np.ceil(target_avg * n / 2.0)), n * (n - 1) // 2)
 
     axes, spread = _grid_axes(loadings)
-    sx, sy = [float(np.std(loadings[a])) for a in axes] + [0.0] * (2 - len(axes))
-    # (n - 1) h / (sqrt(pi) sx) and (n - 1) h^2 / (4 sx sy) both bound the
-    # expected number of neighbors within h of a sample from above when the
-    # loadings are Gaussian, so the width reaching the target is at least
-    # the larger of their solutions
-    guess = max(
-        target_avg * math.sqrt(math.pi) * sx,
-        math.sqrt(4.0 * target_avg * sx * sy * (n - 1)),
-    ) / (n - 1)
-    width = _cell_width(GUESS_SLACK * guess, spread)
+    if hint is not None:
+        check_number("hint", hint, bound=Range(0, strict=True))
+        width = HINT_SLACK * _width_reaching(hint)
+    else:
+        sx, sy = [float(np.std(loadings[a])) for a in axes] + [0.0] * (2 - len(axes))
+        # (n - 1) h / (sqrt(pi) sx) and (n - 1) h^2 / (4 sx sy) both bound
+        # the expected number of neighbors within h of a sample from above
+        # when the loadings are Gaussian, so the width reaching the target
+        # is at least the larger of their solutions
+        guess = max(
+            target_avg * math.sqrt(math.pi) * sx,
+            math.sqrt(4.0 * target_avg * sx * sy * (n - 1)),
+        ) / (n - 1)
+        width = GUESS_SLACK * guess
+    width = _cell_width(width, spread)
     while True:
         near = _grid(loadings, axes, width)
         if len(near.sq) < m:

@@ -216,11 +216,17 @@ class CovariateTable:
     def pair_distances(self, i_idx, j_idx) -> np.ndarray:
         """(k, P) per-covariate distances between rows i_idx[p] and
         j_idx[p]: the absolute difference on a continuous column, the 0/1
-        discrete metric (an inequality of codes) on a categorical one."""
+        discrete metric (an inequality of codes) on a categorical one.  The
+        indices lie in [0, len(self)): a continuous column gathers them with
+        ``take(..., mode="clip")`` into ``out=``, where mode "raise" would
+        buffer a copy."""
         out = np.empty((self.width, len(i_idx)), dtype=float)
+        other = np.empty(len(i_idx), dtype=float)
         for dist, (vals, codebook) in zip(out, self.encoding):
             if codebook is None:
-                np.abs(vals[i_idx] - vals[j_idx], out=dist)
+                vals.take(i_idx, out=dist, mode="clip")
+                dist -= vals.take(j_idx, out=other, mode="clip")
+                np.abs(dist, out=dist)
             else:
                 np.not_equal(vals[i_idx], vals[j_idx], out=dist)
         return out

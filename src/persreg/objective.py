@@ -109,13 +109,16 @@ def batch_loss_terms(X, y, coefficients, task: str) -> tuple:
     return losses, X.T * slopes[None, :]
 
 
-def resolve_pairs(loadings, covariates: CovariateTable, hyper: HyperParams) -> tuple:
+def resolve_pairs(
+    loadings, covariates: CovariateTable, hyper: HyperParams, hint: float | None = None
+) -> tuple:
     """Neighbor-ball radius and pairs of the current loadings.
 
     One set of grid candidates gives both: the fixed radius if configured,
     otherwise the automatic choice with the neighbor target clipped to
-    n - 1.  Without distance matching, or with fewer than two samples, the
-    radius is None and there are no pairs.
+    n - 1, whose search starts from ``hint`` (``metric.auto_radius``).
+    Without distance matching, or with fewer than two samples, the radius
+    is None and there are no pairs.
     """
     n = loadings.shape[1]
     if n < 2 or hyper.distance_match == 0.0:
@@ -126,7 +129,7 @@ def resolve_pairs(loadings, covariates: CovariateTable, hyper: HyperParams) -> t
         near = candidate_pairs(loadings, radius)
     else:
         target = min(float(hyper.target_neighbors), float(n - 1))
-        radius, near = auto_radius(loadings, target)
+        radius, near = auto_radius(loadings, target, hint)
     return radius, neighbor_pairs(neighbor_sets(near, radius), covariates)
 
 

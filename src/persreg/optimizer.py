@@ -137,13 +137,17 @@ def train_step(
     projection keeps the metric nonnegative.  The step's pair-length work
     arrays come from ``scratch`` (``fit`` passes one to all its steps), a
     fresh one when it is None; the returned state shares no memory with it.
+    The neighbor search starts from the previous step's radius, which
+    changes how fast it finds the radius, never which one.
     """
     if scratch is None:
         scratch = Scratch()
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
-    radius, pairs = resolve_pairs(fact.loadings, dataset.covariates, hyper)
+    radius, pairs = resolve_pairs(
+        fact.loadings, dataset.covariates, hyper, hint=state.radius_used
+    )
     bundle = composite_objective(fact, weights, dataset, hyper, pairs, scratch)
 
     rate_w = _weight_rate_limit(alpha, pairs.distances, hyper, scratch)

@@ -334,10 +334,11 @@ def upper_triangle_radius(Z, target):
     return 1e-12 if kth == 0.0 else kth * (1.0 + 1e-12)
 
 
-def assert_radius_and_balls_exact(Z, target):
-    """The automatic radius equals the plain upper-triangle choice and its
-    balls equal the double-loop oracle's, exactly."""
-    radius, near = auto_radius(Z, target)
+def assert_radius_and_balls_exact(Z, target, hint=None):
+    """The automatic radius, searched from ``hint``, equals the plain
+    upper-triangle choice and its balls equal the double-loop oracle's,
+    exactly."""
+    radius, near = auto_radius(Z, target, hint)
     assert radius == upper_triangle_radius(Z, target)
     members = members_of(neighbor_sets(near, radius), Z.shape[1])
     assert np.array_equal(members, oracle_members(Z, radius))
@@ -578,6 +579,86 @@ class TestDegenerateGeometry:
         i_idx, j_idx = neighbor_sets(near, radius)
         assert len(i_idx) == n * (n - 1)
         assert not np.any(i_idx == j_idx)
+
+
+def gaussian_or_degenerate(rng, kind, q, n):
+    if kind == "gaussian":
+        return rng.standard_normal((q, n))
+    return degenerate_loadings(rng, kind, q, n)
+
+
+class TestRadiusHint:
+    """The radius search may start from any hint, such as the previous
+    training step's radius: the hint changes how many grids it takes, never
+    the radius or the balls."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gaussian", "clustered", "duplicated", "coincident"]),
+        st.integers(1, 3),
+        st.integers(2, 80),
+    )
+    @example(0, "gaussian", 2, 80)
+    @example(3, "clustered", 2, 80)
+    @example(1, "coincident", 3, 2)
+    def test_hint_never_changes_the_result(self, seed, kind, q, n):
+        rng = np.random.default_rng(seed)
+        Z = gaussian_or_degenerate(rng, kind, q, n)
+        for target in (float(rng.uniform(0.1, n - 1)), float(n - 1)):
+            truth = upper_triangle_radius(Z, target)
+            for hint in (None, truth, truth * 1e-6, truth * 1e6):
+                assert assert_radius_and_balls_exact(Z, target, hint) == truth
+
+    @pytest.mark.parametrize(
+        "hint, message",
+        [(0.0, "hint must be > 0, got 0.0"),
+         (-1.0, "hint must be > 0, got -1.0"),
+         (float("inf"), "hint must be finite, got inf"),
+         (float("nan"), "hint must be finite, got nan")],
+    )
+    def test_bad_hint_is_refused_with_its_value(self, hint, message):
+        Z = np.random.default_rng(2).standard_normal((2, 10))
+        with pytest.raises(ValueError) as refused:
+            auto_radius(Z, 3.0, hint)
+        assert str(refused.value) == message
+
+
+class TestTieOrder:
+    """The grid sorts samples by cell with an unstable sort, so the order of
+    samples sharing a cell may differ between CPUs.  Permuting the loading
+    columns reorders those ties; the pairs, mapped back, must not move."""
+
+    @staticmethod
+    def mapped_back(pairs, perm):
+        i_idx, j_idx = perm[pairs[0]], perm[pairs[1]]
+        order = np.lexsort((j_idx, i_idx))
+        return i_idx[order], j_idx[order]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gaussian", "clustered", "duplicated"]),
+        st.integers(1, 3),
+        st.integers(2, 300),
+    )
+    @example(0, "duplicated", 2, 300)
+    @example(5, "clustered", 1, 300)
+    def test_permuted_columns_give_the_same_pairs(self, seed, kind, q, n):
+        rng = np.random.default_rng(seed)
+        Z = gaussian_or_degenerate(rng, kind, q, n)
+        perm = rng.permutation(n)
+        target = float(rng.uniform(0.5, min(20.0, n - 1)))
+        radius, near = auto_radius(Z, target)
+        permuted_radius, permuted_near = auto_radius(Z[:, perm], target)
+        assert permuted_radius == radius
+        want = neighbor_sets(near, radius)
+        got = self.mapped_back(neighbor_sets(permuted_near, radius), perm)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        fixed = float(np.median(pairwise_squared(Z)))
+        if fixed > 0.0:
+            got = self.mapped_back(sets_at(Z[:, perm], fixed), perm)
+            for a, b in zip(got, sets_at(Z, fixed)):
+                assert np.array_equal(a, b)
 
 
 class TestBadInput:

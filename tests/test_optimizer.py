@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from persreg import optimizer
+from persreg import metric, objective, optimizer
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -269,6 +269,37 @@ class TestScratch:
         assert len(seen) == 5
         assert isinstance(seen[0], Scratch)
         assert all(s is seen[0] for s in seen)
+
+
+class TestRadiusHint:
+    """Each step's neighbor search starts from the previous step's radius,
+    and that hint is what lets a default fit size its grid right the first
+    time.  The counts are deterministic, so a change that loses the hint,
+    or makes it miss, fails here instead of only in the benchmark."""
+
+    def test_each_step_hints_the_last_radius_and_takes_one_grid(self, monkeypatch):
+        calls = []
+        grid, search = metric._grid, metric.auto_radius
+
+        def counting_grid(*args):
+            calls[-1]["grids"] += 1
+            return grid(*args)
+
+        def recording_search(loadings, target_avg, hint=None):
+            calls.append({"hint": hint, "grids": 0})
+            return search(loadings, target_avg, hint)
+
+        monkeypatch.setattr(metric, "_grid", counting_grid)
+        for module in (metric, objective):
+            monkeypatch.setattr(module, "auto_radius", recording_search)
+        records = []
+        ds = generate(500, 5, 5, seed=1).train_dataset()
+        fit(ds, HyperParams(max_iters=60), seed=1, trace_fn=records.append)
+
+        assert len(records) == len(calls) == 60
+        assert calls[0]["hint"] is None
+        assert [c["hint"] for c in calls[1:]] == [r["radius"] for r in records[:-1]]
+        assert [c["grids"] for c in calls] == [1] * 60
 
 
 class TestFit:
