@@ -28,15 +28,11 @@ RADIUS_NUDGE = 1e-12
 # int64 cell keys far from overflow.
 REACH_MARGIN = 1e-5
 MAX_CELLS = 1 << 24
-# Without a hint, the automatic radius's first cell width is this many times
-# the smallest width that reaches the neighbor target on Gaussian loadings.
-# A fit uses it on its first step only.
-GUESS_SLACK = 1.2
-# With a hint, the first cell width is this many times the width that reaches
-# the hint.  A training step hints the radius of the step before it: at 1.25
-# no benchmark fit takes more grids than with the Gaussian guess on every
-# step, where 1.2 takes one more on serve's 30-step fit.
-HINT_SLACK = 1.25
+# The automatic radius's first cell width is this many times the width that
+# reaches its hint, the previous training step's radius, or on a fit's first
+# step the least width that reaches the neighbor target on Gaussian loadings.
+# At 1.2, serve's 30-step fit takes a second grid on one hinted step.
+SLACK = 1.25
 
 
 def precompute_cache(covariates: CovariateTable) -> CovariateTable:
@@ -216,10 +212,10 @@ def auto_radius(loadings, target_avg: float, hint: float | None = None) -> tuple
     by a relative 1e-12 so the strict inequality keeps those m pairs inside
     (a zero distance gives ``RADIUS_NUDGE``).
 
-    The first grid's cells are sized from ``hint``, a radius expected near
-    the answer, such as the previous training step's (see ``HINT_SLACK``),
-    or without one from the spreads of the two widest rows (see
-    ``GUESS_SLACK``).  A grid answers when the m-th smallest candidate
+    The first grid's cells are ``SLACK`` times as wide as the cells that
+    reach ``hint``, a radius expected near the answer, such as the previous
+    training step's, or without one as the Gaussian guess from the spreads
+    of the two widest rows.  A grid answers when the m-th smallest candidate
     distance, nudged, lies within its reach: every pair below the reach is
     a candidate, so that distance is the m-th smallest over all pairs, and
     the radius's pairs are all candidates.  Otherwise the next grid reaches
@@ -239,19 +235,18 @@ def auto_radius(loadings, target_avg: float, hint: float | None = None) -> tuple
     axes, spread = _grid_axes(loadings)
     if hint is not None:
         check_number("hint", hint, bound=Range(0, strict=True))
-        width = HINT_SLACK * _width_reaching(hint)
+        width = _width_reaching(hint)
     else:
         sx, sy = [float(np.std(loadings[a])) for a in axes] + [0.0] * (2 - len(axes))
         # (n - 1) h / (sqrt(pi) sx) and (n - 1) h^2 / (4 sx sy) both bound
         # the expected number of neighbors within h of a sample from above
         # when the loadings are Gaussian, so the width reaching the target
         # is at least the larger of their solutions
-        guess = max(
+        width = max(
             target_avg * math.sqrt(math.pi) * sx,
             math.sqrt(4.0 * target_avg * sx * sy * (n - 1)),
         ) / (n - 1)
-        width = GUESS_SLACK * guess
-    width = _cell_width(width, spread)
+    width = _cell_width(SLACK * width, spread)
     while True:
         near = _grid(loadings, axes, width)
         if len(near.sq) < m:

@@ -56,7 +56,7 @@ class GradientBundle:
 
 
 class Scratch:
-    """Work arrays reused by the steps of one fit.
+    """The work arrays of one fit, made by ``optimizer.fit`` for its steps.
 
     ``take(name, *shape)`` hands out a view of the array kept under
     ``name``, replaced by a larger one when it is too short.  Its contents
@@ -134,7 +134,7 @@ def resolve_pairs(
 
 
 def distance_match(
-    loadings, weights, pairs: NeighborPairs, strength, scratch: Scratch | None = None
+    loadings, weights, pairs: NeighborPairs, strength, scratch: Scratch
 ) -> tuple:
     """Distance-matching penalties and their gradients, from one pass over
     the pairs.
@@ -147,7 +147,7 @@ def distance_match(
     cross terms from balls it belongs to; all i-side contributions are
     scattered before the j-side ones.  The columns sum to zero by the
     antisymmetry of the pair terms.  The pair-length work arrays come from
-    ``scratch``, a fresh one when it is None.
+    ``scratch``.
     """
     loadings = np.asarray(loadings, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -161,8 +161,6 @@ def distance_match(
     m = len(i_idx)
     if strength == 0.0 or m == 0:
         return np.zeros(n, dtype=float), grad_loadings, grad_weights
-    if scratch is None:
-        scratch = Scratch()
     term = scratch.take("term", m)
 
     # mismatch rho(i,j) - ||Z_i - Z_j||^2 per pair
@@ -203,7 +201,7 @@ def composite_objective(
     dataset: Dataset,
     hyper: HyperParams,
     pairs: NeighborPairs,
-    scratch: Scratch | None = None,
+    scratch: Scratch,
 ) -> GradientBundle:
     """Value and gradients of the full training objective.
 

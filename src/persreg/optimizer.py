@@ -126,7 +126,7 @@ def _weight_rate_limit(alpha: float, pair_distances, hyper, scratch: Scratch) ->
 
 
 def train_step(
-    state: TrainState, dataset: Dataset, hyper: HyperParams, scratch: Scratch | None = None
+    state: TrainState, dataset: Dataset, hyper: HyperParams, scratch: Scratch
 ) -> TrainState:
     """One descent iteration.
 
@@ -135,13 +135,11 @@ def train_step(
     i is scaled by the global rate divided by the (floored) infinity-norm
     distance of its coefficients from the population anchor.  The weight
     projection keeps the metric nonnegative.  The step's pair-length work
-    arrays come from ``scratch`` (``fit`` passes one to all its steps), a
-    fresh one when it is None; the returned state shares no memory with it.
+    arrays come from ``scratch`` (``fit`` passes one to all its steps); the
+    returned state shares no memory with it.
     The neighbor search starts from the previous step's radius, which
     changes how fast it finds the radius, never which one.
     """
-    if scratch is None:
-        scratch = Scratch()
     fact, weights = state.factorization, state.weights
     alpha = learning_rate(hyper, state.iteration)
 
@@ -229,32 +227,27 @@ def fit(
         precompute_cache(dataset.covariates)
         state = initialize(dataset, hyper, pop, seed)
 
-        tracing = trace_fn is not None
-        com = center_of_mass(state.factorization) if tracing else None
         scratch = Scratch()
         for _ in range(hyper.max_iters):
-            prev_value = state.last_value
-            alpha = learning_rate(hyper, state.iteration)
-            step_index = state.iteration
-            state = train_step(state, dataset, hyper, scratch=scratch)
-            if tracing:
-                new_com = center_of_mass(state.factorization)
+            prev, state = state, train_step(state, dataset, hyper, scratch)
+            if trace_fn is not None:
+                t, alpha = prev.iteration, learning_rate(hyper, prev.iteration)
+                com, prev_com = (center_of_mass(s.factorization) for s in (state, prev))
                 record = {
-                    "t": step_index,
+                    "t": t,
                     "alpha": alpha,
                     "objective": state.last_value,
-                    "com_step": float(np.max(np.abs(new_com - com))),
-                    "com_drift": float(np.max(np.abs(new_com - pop))),
+                    "com_step": float(np.max(np.abs(com - prev_com))),
+                    "com_drift": float(np.max(np.abs(com - pop))),
                     "mean_neighbors": state.mean_neighbors,
                     "radius": state.radius_used,
                 }
                 if instrument and dataset.task == REGRESSION:
                     record["step_bound"] = alpha * (hyper.l1 + 1.0)
-                    record["drift_bound"] = _drift_bound(hyper, step_index + 1)
+                    record["drift_bound"] = _drift_bound(hyper, t + 1)
                 trace_fn(record)
-                com = new_com
-            if prev_value is not None and abs(state.last_value - prev_value) <= (
-                hyper.rel_tol * max(1.0, abs(prev_value))
+            if prev.last_value is not None and abs(state.last_value - prev.last_value) <= (
+                hyper.rel_tol * max(1.0, abs(prev.last_value))
             ):
                 break
 

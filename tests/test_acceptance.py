@@ -19,6 +19,7 @@ from persreg.model import (
     coefficient_matrix,
 )
 from persreg.objective import (
+    Scratch,
     batch_loss_terms,
     composite_objective,
     distance_match,
@@ -87,7 +88,7 @@ def test_criterion_1_matcher_never_moves_center_of_mass():
                 rng, n, q
             )
             pairs = pairs_within(loadings, radius, table)
-            _, gz, _ = distance_match(loadings, weights, pairs, strength)
+            _, gz, _ = distance_match(loadings, weights, pairs, strength, Scratch())
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
         elapsed = time.time() - start
         assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"
@@ -255,17 +256,21 @@ def test_criterion_6_gradient_oracle():
             )
             weights = weights + 0.1
             pairs = pairs_within(loadings, radius, table)
-            _, gz, gw = distance_match(loadings, weights, pairs, strength)
+            _, gz, gw = distance_match(loadings, weights, pairs, strength, Scratch())
             want_z = central_difference(
                 lambda z: float(
-                    np.sum(distance_match(z.reshape(q, n), weights, pairs, strength)[0])
+                    np.sum(
+                        distance_match(
+                            z.reshape(q, n), weights, pairs, strength, Scratch()
+                        )[0]
+                    )
                 ),
                 loadings.ravel(),
                 1e-6,
             )
             want_w = central_difference(
                 lambda w: float(
-                    np.sum(distance_match(loadings, w, pairs, strength)[0])
+                    np.sum(distance_match(loadings, w, pairs, strength, Scratch())[0])
                 ),
                 weights,
                 1e-6,
@@ -301,7 +306,7 @@ def test_criterion_6_gradient_oracle():
                 target_neighbors=None,
             )
             pairs = pairs_within(fact.loadings, 3.0, ds.covariates)
-            bundle = composite_objective(fact, weights, ds, hyper, pairs)
+            bundle = composite_objective(fact, weights, ds, hyper, pairs, Scratch())
 
             def value(loadings=None, dictionary=None, w=None):
                 f = Factorization(
@@ -309,7 +314,7 @@ def test_criterion_6_gradient_oracle():
                     dictionary=fact.dictionary if dictionary is None else dictionary,
                 )
                 return composite_objective(
-                    f, weights if w is None else w, ds, hyper, pairs
+                    f, weights if w is None else w, ds, hyper, pairs, Scratch()
                 ).value
 
             assert relative_error(
@@ -375,7 +380,7 @@ def test_criterion_7_spatial_index_matches_brute_force():
             )
             assert np.array_equal(pairs.j_idx, np.concatenate(want_sets))
             got_vals, got_gz, got_gw = distance_match(
-                loadings, weights, pairs, strength
+                loadings, weights, pairs, strength, Scratch()
             )
             cache_mats = oracle_matrices(table)
             want_vals = match_values_reference(

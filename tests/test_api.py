@@ -238,3 +238,17 @@ def test_script_runs_to_its_last_line(script, args, last):
     lines = [line for line in done.stdout.splitlines()
              if not line.strip().startswith("(")]
     assert " ".join(lines[-1].split()).startswith(last)
+
+
+def test_benchmark_selftest_reports_no_problem():
+    """The benchmark's self-test at tiny sizes: every per-layer metric that
+    ``BENCHMARK.json`` names is still produced through the probes, and
+    training survives a deleted ``metric.neighbor_sets``."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 problem(s)"

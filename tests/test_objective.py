@@ -7,6 +7,7 @@ import pytest
 from persreg.model import CovariateTable, Dataset, Factorization, HyperParams
 from persreg.objective import (
     NumericalError,
+    Scratch,
     batch_loss_terms,
     composite_objective,
     distance_match,
@@ -36,7 +37,7 @@ def one_subgradient(x, y, coef, task):
 def step_objective(fact, weights, ds, hyper):
     """``composite_objective`` over the pairs a training step would use."""
     _, pairs = resolve_pairs(fact.loadings, ds.covariates, hyper)
-    return composite_objective(fact, weights, ds, hyper, pairs)
+    return composite_objective(fact, weights, ds, hyper, pairs, Scratch())
 
 
 class TestSigmoid:
@@ -228,7 +229,7 @@ class TestDistanceMatchValues:
         loadings, pairs = two_sample_setup(
             np.zeros((2, 3)), np.zeros((3, 2)), radius=1.0
         )
-        got = distance_match(loadings, np.ones(2), pairs, 5.0)[0]
+        got = distance_match(loadings, np.ones(2), pairs, 5.0, Scratch())[0]
         assert np.array_equal(got, np.zeros(3))
 
     def test_two_sample_hand_value(self):
@@ -236,27 +237,27 @@ class TestDistanceMatchValues:
         loadings, pairs = two_sample_setup(
             [[0.0, 1.0]], [[0.0], [2.0]], radius=10.0
         )
-        got = distance_match(loadings, np.ones(1), pairs, 2.0)[0]
+        got = distance_match(loadings, np.ones(1), pairs, 2.0, Scratch())[0]
         assert np.array_equal(got, [1.0, 1.0])
 
     def test_zero_strength_disables(self):
         loadings, pairs = two_sample_setup(
             [[0.0, 1.0]], [[0.0], [2.0]], radius=10.0
         )
-        got = distance_match(loadings, np.ones(1), pairs, 0.0)[0]
+        got = distance_match(loadings, np.ones(1), pairs, 0.0, Scratch())[0]
         assert np.array_equal(got, np.zeros(2))
 
     def test_weights_must_cover_every_covariate(self):
         loadings, pairs = two_sample_setup([[0.0, 1.0]], [[0.0], [2.0]])
         with pytest.raises(ValueError, match="number of covariates"):
-            distance_match(loadings, np.ones(2), pairs, 1.0)
+            distance_match(loadings, np.ones(2), pairs, 1.0, Scratch())
 
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(3)
         loadings = rng.standard_normal((2, 20))
         table = CovariateTable.continuous(rng.uniform(size=(20, 3)))
         pairs = pairs_within(loadings, 1.0, table)
-        got = distance_match(loadings, rng.uniform(size=3), pairs, 7.0)[0]
+        got = distance_match(loadings, rng.uniform(size=3), pairs, 7.0, Scratch())[0]
         assert np.all(got >= 0.0)
 
 
@@ -270,7 +271,7 @@ class TestDistanceMatchGradients:
             table = CovariateTable.continuous(rng.uniform(size=(n, 2)))
             pairs = pairs_within(loadings, float(rng.uniform(0.5, 4.0)), table)
             gz, _ = distance_match(
-                loadings, rng.uniform(size=2), pairs, float(rng.uniform(0.5, 2))
+                loadings, rng.uniform(size=2), pairs, float(rng.uniform(0.5, 2)), Scratch()
             )[1:]
             assert np.max(np.abs(gz.sum(axis=1))) <= 1e-8
 
@@ -279,7 +280,7 @@ class TestDistanceMatchGradients:
         loadings, pairs = two_sample_setup(
             [[0.0, 1.0]], [[0.0], [1.0]], radius=10.0
         )
-        gz, gw = distance_match(loadings, np.ones(1), pairs, 3.0)[1:]
+        gz, gw = distance_match(loadings, np.ones(1), pairs, 3.0, Scratch())[1:]
         assert np.array_equal(gz, np.zeros((1, 2)))
         assert np.array_equal(gw, np.zeros(1))
 
@@ -299,13 +300,16 @@ class TestDistanceMatchGradients:
             strength = 2.5
 
             def total_from_loadings(flat):
-                values = distance_match(flat.reshape(q, n), weights, pairs, strength)[0]
+                values = distance_match(
+                    flat.reshape(q, n), weights, pairs, strength, Scratch()
+                )[0]
                 return float(np.sum(values))
 
             def total_from_weights(w):
-                return float(np.sum(distance_match(loadings, w, pairs, strength)[0]))
+                values = distance_match(loadings, w, pairs, strength, Scratch())[0]
+                return float(np.sum(values))
 
-            gz, gw = distance_match(loadings, weights, pairs, strength)[1:]
+            gz, gw = distance_match(loadings, weights, pairs, strength, Scratch())[1:]
             want_z = central_difference(total_from_loadings, loadings.ravel(), 1e-6)
             want_w = central_difference(total_from_weights, weights, 1e-6)
             assert relative_error(gz.ravel(), want_z) <= 1e-6
@@ -366,7 +370,7 @@ class TestCompositeObjective:
             target_neighbors=None,
         )
         pairs = pairs_within(fact.loadings, 2.0, ds.covariates)
-        bundle = composite_objective(fact, weights, ds, hyper, pairs)
+        bundle = composite_objective(fact, weights, ds, hyper, pairs, Scratch())
 
         def value_of(loadings=None, dictionary=None, w=None):
             f = Factorization(
@@ -374,7 +378,7 @@ class TestCompositeObjective:
                 dictionary=fact.dictionary if dictionary is None else dictionary,
             )
             ww = weights if w is None else w
-            return composite_objective(f, ww, ds, hyper, pairs).value
+            return composite_objective(f, ww, ds, hyper, pairs, Scratch()).value
 
         want_z = central_difference(
             lambda z: value_of(loadings=z.reshape(q, n)), fact.loadings.ravel(), 1e-6

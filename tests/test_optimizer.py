@@ -132,7 +132,7 @@ class TestTrainStep:
             lr_init=1e-3, rate_floor=1e-2,
         )
         state = manual_state(z, d, pop)
-        out = train_step(state, ds, hyper)
+        out = train_step(state, ds, hyper, Scratch())
 
         theta = d[0, 0] * z[0]
         g = -2.0 * (y - x * theta) * x
@@ -156,7 +156,7 @@ class TestTrainStep:
         )
         hyper = HyperParams(l1=0.0, distance_match=0.0, weights_anchor=0.0)
         state = manual_state(theta, np.eye(2), np.zeros(2))
-        out = train_step(state, ds, hyper)
+        out = train_step(state, ds, hyper, Scratch())
         assert np.array_equal(out.factorization.loadings, theta)
         assert np.array_equal(out.factorization.dictionary, np.eye(2))
         assert np.array_equal(out.weights, np.ones(1))
@@ -171,7 +171,7 @@ class TestTrainStep:
 
         state = initialize(ds, hyper, fit_population(ds, pop_cfg), seed=11)
         for _ in range(40):
-            state = train_step(state, ds, hyper)
+            state = train_step(state, ds, hyper, Scratch())
             assert np.all(state.weights >= 0.0)
 
     def test_rate_schedule_is_exact(self):
@@ -233,7 +233,7 @@ class TestScratch:
         counts = []
         for _ in range(12):
             shared = train_step(shared, ds, hyper, scratch)
-            fresh = train_step(fresh, ds, hyper)
+            fresh = train_step(fresh, ds, hyper, Scratch())
             counts.append(shared.mean_neighbors)
             for a, b in zip(state_arrays(shared), state_arrays(fresh)):
                 assert a.tobytes() == b.tobytes()
@@ -251,7 +251,7 @@ class TestScratch:
         scratch = Scratch()
         distance_match(loadings, weights, wide, 2.0, scratch)
         got = distance_match(loadings, weights, narrow, 2.0, scratch)
-        want = distance_match(loadings, weights, narrow, 2.0)
+        want = distance_match(loadings, weights, narrow, 2.0, Scratch())
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -300,6 +300,44 @@ class TestRadiusHint:
         assert calls[0]["hint"] is None
         assert [c["hint"] for c in calls[1:]] == [r["radius"] for r in records[:-1]]
         assert [c["grids"] for c in calls] == [1] * 60
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_the_fit_large_start_takes_one_grid_per_step(self, monkeypatch, seed):
+        # the benchmark's fit-large inputs: two covariates binned into four
+        # labels, responses split at the median, 2000 training rows
+        inst = generate(2500, 5, 5, seed)
+        cols, kinds = list(inst.dataset.covariates.columns), ["continuous"] * 5
+        for c in (3, 4):
+            level = np.minimum(np.floor(cols[c] * 4), 3)
+            cols[c] = np.array([f"q{int(v)}" for v in level], dtype=object)
+            kinds[c] = "categorical"
+        y = inst.dataset.responses
+        ds = Dataset(
+            inst.dataset.predictors,
+            (y > np.median(y)).astype(float),
+            CovariateTable.from_columns(cols, kinds),
+            "classification",
+        ).take(inst.train_rows)
+        assert ds.n == 2000
+
+        calls = []
+        grid, search = metric._grid, metric.auto_radius
+
+        def counting_grid(*args):
+            calls[-1]["grids"] += 1
+            return grid(*args)
+
+        def recording_search(loadings, target_avg, hint=None):
+            calls.append({"hint": hint, "grids": 0})
+            return search(loadings, target_avg, hint)
+
+        monkeypatch.setattr(metric, "_grid", counting_grid)
+        for module in (metric, objective):
+            monkeypatch.setattr(module, "auto_radius", recording_search)
+        fit(ds, HyperParams(max_iters=4), seed=seed)
+
+        assert calls[0]["hint"] is None
+        assert [c["grids"] for c in calls] == [1] * 4
 
 
 class TestFit:
@@ -383,6 +421,44 @@ class TestFit:
         fit(ds, hyper, seed=14, trace_fn=records.append)
         for r in records:
             assert r["alpha"] == hyper.lr_init * hyper.lr_decay ** r["t"]
+
+    def test_fit_is_a_hand_loop_of_train_step_record_by_record(self):
+        ds = generate(40, 2, 3, seed=0, normalize_rows=True).train_dataset()
+        hyper = HyperParams(max_iters=200, rel_tol=1e-3)
+        records = []
+        fit(ds, hyper, seed=0, instrument=True, trace_fn=records.append)
+
+        pop = fit_population(
+            ds, ElasticNetConfig(l1=hyper.l1, l2=1e-4 * hyper.l1, fit_task=ds.task)
+        )
+        states = [initialize(ds, hyper, pop, seed=0)]
+        for _ in range(hyper.max_iters):
+            states.append(train_step(states[-1], ds, hyper, Scratch()))
+        stops = [
+            t + 1
+            for t, (a, b) in enumerate(zip(states, states[1:]))
+            if a.last_value is not None
+            and abs(b.last_value - a.last_value)
+            <= hyper.rel_tol * max(1.0, abs(a.last_value))
+        ]
+        assert len(records) == stops[0] < hyper.max_iters
+
+        for t, (record, a, b) in enumerate(zip(records, states, states[1:])):
+            com = center_of_mass(b.factorization)
+            alpha = learning_rate(hyper, t)
+            assert record == {
+                "t": t,
+                "alpha": alpha,
+                "objective": b.last_value,
+                "com_step": float(
+                    np.max(np.abs(com - center_of_mass(a.factorization)))
+                ),
+                "com_drift": float(np.max(np.abs(com - pop))),
+                "mean_neighbors": b.mean_neighbors,
+                "radius": b.radius_used,
+                "step_bound": alpha * (hyper.l1 + 1.0),
+                "drift_bound": _drift_bound(hyper, t + 1),
+            }
 
     def test_drift_bound_geometric_limit(self):
         hyper = HyperParams(lr_init=0.1, lr_decay=0.5, l1=1.0)
