@@ -1,10 +1,10 @@
 """Loss and regularizer values and (sub)gradients, plus the composite
 objective consumed by the optimizer.
 
-All gradients are closed form.  ``resolve_pairs`` finds a step's neighbors
-as one ``metric.NeighborPairs``: ordered pairs sorted ascending by (i, j)
-with their covariate distances.  The distance-matching terms iterate those
-pairs in order, accumulate covariate columns and latent dimensions in
+All gradients are closed form, as is the weight Hessian's trace.  A step's
+neighbors arrive as one ``metric.NeighborPairs``: ordered pairs sorted by
+(i, j) with their covariate distances.  The distance-matching terms iterate
+those pairs in order, accumulate covariate columns and latent dimensions in
 ascending order, and scatter with ``np.bincount``, which adds in sequence.
 That fixed arithmetic order is a contract: a brute-force oracle that walks
 pairs the same way reproduces every value bit for bit, and runs are
@@ -25,16 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (
-    NeighborPairs,
-    auto_radius,
-    candidate_pairs,
-    neighbor_pairs,
-    neighbor_sets,
-)
+from .metric import NeighborPairs
 from .model import (
     REGRESSION,
-    CovariateTable,
     Dataset,
     Factorization,
     HyperParams,
@@ -45,14 +38,15 @@ from .model import (
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Composite objective value with the three gradient blocks, and the
-    per-sample coefficients they were evaluated at."""
+    """Composite objective value, its three gradient blocks and weight
+    Hessian trace, and the per-sample coefficients they were evaluated at."""
 
     value: float
     coefficients: np.ndarray  # p x n
     grad_loadings: np.ndarray  # q x n
     grad_dictionary: np.ndarray  # q x p
     grad_weights: np.ndarray  # k
+    weight_curvature: float
 
 
 class Scratch:
@@ -107,30 +101,6 @@ def batch_loss_terms(X, y, coefficients, task: str) -> tuple:
     z = np.einsum("ij,ji->i", X, coefficients)
     losses, slopes = score_terms(z, y, task)
     return losses, X.T * slopes[None, :]
-
-
-def resolve_pairs(
-    loadings, covariates: CovariateTable, hyper: HyperParams, hint: float | None = None
-) -> tuple:
-    """Neighbor-ball radius and pairs of the current loadings.
-
-    One set of grid candidates gives both: the fixed radius if configured,
-    otherwise the automatic choice with the neighbor target clipped to
-    n - 1, whose search starts from ``hint`` (``metric.auto_radius``).
-    Without distance matching, or with fewer than two samples, the radius
-    is None and there are no pairs.
-    """
-    n = loadings.shape[1]
-    if n < 2 or hyper.distance_match == 0.0:
-        none = np.empty(0, dtype=np.intp)
-        return None, neighbor_pairs((none, none), covariates)
-    if hyper.radius is not None:
-        radius = float(hyper.radius)
-        near = candidate_pairs(loadings, radius)
-    else:
-        target = min(float(hyper.target_neighbors), float(n - 1))
-        radius, near = auto_radius(loadings, target, hint)
-    return radius, neighbor_pairs(neighbor_sets(near, radius), covariates)
 
 
 def distance_match(
@@ -208,11 +178,12 @@ def composite_objective(
     The objective sums, over samples, the predictive loss, the l1 penalty on
     the implied coefficients, and the distance-matching penalty, plus the
     anchor term pulling the metric weights toward one, over the step's
-    neighbor ``pairs`` (see ``resolve_pairs``).
+    neighbor ``pairs`` (see ``optimizer.resolve_pairs``).
 
     The dictionary gradient has no distance-matching contribution: that
-    penalty depends on the loadings and weights only.  ``scratch`` is
-    passed to ``distance_match``.
+    penalty depends on the loadings and weights only.  ``weight_curvature``
+    is the trace of the weight Hessian of the matching and anchor terms
+    (exact quadratics).  ``scratch`` holds the pair-length work arrays.
     """
     weights = np.asarray(weights, dtype=float)
     X, y, task = dataset.predictors, dataset.responses, dataset.task
@@ -232,6 +203,11 @@ def composite_objective(
     match_vals, match_gz, match_gw = distance_match(
         fact.loadings, weights, pairs, hyper.distance_match, scratch
     )
+    square = scratch.take("term", len(pairs.i_idx))
+    curvature = hyper.distance_match * sum(
+        float(np.sum(np.multiply(d, d, out=square))) for d in pairs.distances
+    )
+    curvature += 2.0 * hyper.weights_anchor * len(weights)
 
     anchor_diff = weights - 1.0
     value = (
@@ -257,4 +233,5 @@ def composite_objective(
         grad_loadings=grad_loadings,
         grad_dictionary=grad_dictionary,
         grad_weights=grad_weights,
+        weight_curvature=curvature,
     )

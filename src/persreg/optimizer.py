@@ -1,13 +1,14 @@
-"""Training loop: population-anchored initialization, factorized subgradient
-descent with personalized learning rates and multiplicative decay.
+"""Training loop: population-anchored initialization, the step's neighbor
+rule, and factorized subgradient descent with personalized learning rates
+and multiplicative decay.
 
 Two numerical safeguards sit on top of the raw update rules, both only ever
 shrinking a step:
 
-* the metric-weight step is rate-limited by the curvature of the
-  distance-matching term, which is an exact quadratic in the weights; the
-  raw global rate overshoots catastrophically when the match strength times
-  the number of neighbor pairs is large,
+* the metric-weight step is rate-limited by the objective's exact weight
+  curvature (``GradientBundle.weight_curvature``); the raw global rate
+  overshoots catastrophically when the match strength times the number of
+  neighbor pairs is large,
 * the loading block backs off by one shared scalar whenever its largest
   per-sample step would exceed the neighbor-ball radius, since such a step
   invalidates the neighbor structure the gradient was built on.
@@ -30,9 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import precompute_cache
+from .metric import (
+    auto_radius,
+    candidate_pairs,
+    neighbor_pairs,
+    neighbor_sets,
+    precompute_cache,
+)
 from .model import (
     REGRESSION,
+    CovariateTable,
     Dataset,
     Factorization,
     HyperParams,
@@ -41,7 +49,7 @@ from .model import (
     center_of_mass,
     check_seed,
 )
-from .objective import Scratch, composite_objective, resolve_pairs
+from .objective import Scratch, composite_objective
 from .population import ElasticNetConfig, fit_population
 
 
@@ -106,23 +114,29 @@ def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) ->
     )
 
 
-def _weight_rate_limit(alpha: float, pair_distances, hyper, scratch: Scratch) -> float:
-    """Stable scalar rate for the weight block.
+def resolve_pairs(
+    loadings, covariates: CovariateTable, hyper: HyperParams, hint: float | None = None
+) -> tuple:
+    """Neighbor-ball radius and pairs of the current loadings: the pairs a
+    training step evaluates the objective over.
 
-    The distance-matching penalty is quadratic in the weights with Hessian
-    trace  strength * sum over pairs of squared covariate distances, plus
-    2 * anchor per covariate.  A gradient step is safe below the reciprocal
-    of that trace, and the configured rate is used whenever it already is.
-    ``pair_distances`` holds the (k, P) per-covariate distances of the pairs.
+    One set of grid candidates gives both: the fixed radius if configured,
+    otherwise the automatic choice with the neighbor target clipped to
+    n - 1, whose search starts from ``hint`` (``metric.auto_radius``).
+    Without distance matching, or with fewer than two samples, the radius
+    is None and there are no pairs.
     """
-    square = scratch.take("term", pair_distances.shape[1])
-    total = hyper.distance_match * sum(
-        float(np.sum(np.multiply(d, d, out=square))) for d in pair_distances
-    )
-    total += 2.0 * hyper.weights_anchor * pair_distances.shape[0]
-    if total <= 0.0:
-        return alpha
-    return min(alpha, 1.0 / total)
+    n = loadings.shape[1]
+    if n < 2 or hyper.distance_match == 0.0:
+        none = np.empty(0, dtype=np.intp)
+        return None, neighbor_pairs((none, none), covariates)
+    if hyper.radius is not None:
+        radius = float(hyper.radius)
+        near = candidate_pairs(loadings, radius)
+    else:
+        target = min(float(hyper.target_neighbors), float(n - 1))
+        radius, near = auto_radius(loadings, target, hint)
+    return radius, neighbor_pairs(neighbor_sets(near, radius), covariates)
 
 
 def train_step(
@@ -134,9 +148,10 @@ def train_step(
     loading, and dictionary blocks then move simultaneously.  Loading column
     i is scaled by the global rate divided by the (floored) infinity-norm
     distance of its coefficients from the population anchor.  The weight
-    projection keeps the metric nonnegative.  The step's pair-length work
-    arrays come from ``scratch`` (``fit`` passes one to all its steps); the
-    returned state shares no memory with it.
+    rate is capped at the reciprocal of the objective's ``weight_curvature``,
+    and the weight projection keeps the metric nonnegative.  The step's
+    pair-length work arrays come from ``scratch`` (``fit`` passes one to all
+    its steps); the returned state shares no memory with it.
     The neighbor search starts from the previous step's radius, which
     changes how fast it finds the radius, never which one.
     """
@@ -148,7 +163,8 @@ def train_step(
     )
     bundle = composite_objective(fact, weights, dataset, hyper, pairs, scratch)
 
-    rate_w = _weight_rate_limit(alpha, pairs.distances, hyper, scratch)
+    curvature = bundle.weight_curvature
+    rate_w = alpha if curvature <= 0.0 else min(alpha, 1.0 / curvature)
     new_weights = np.maximum(0.0, weights - rate_w * bundle.grad_weights)
 
     anchor_dist = np.max(

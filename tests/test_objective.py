@@ -11,12 +11,18 @@ from persreg.objective import (
     batch_loss_terms,
     composite_objective,
     distance_match,
-    resolve_pairs,
     score_terms,
     sigmoid,
 )
+from persreg.optimizer import resolve_pairs
 
-from oracles import central_difference, pairs_within, pairwise_squared, relative_error
+from oracles import (
+    central_difference,
+    oracle_matrices,
+    pairs_within,
+    pairwise_squared,
+    relative_error,
+)
 
 
 def one_sample(x, y, coef, task):
@@ -406,3 +412,71 @@ class TestCompositeObjective:
         with pytest.raises(NumericalError) as err:
             step_objective(fact, np.ones(1), ds, HyperParams(distance_match=0.0))
         assert err.value.sample == 1
+
+
+class TestWeightCurvature:
+    """``weight_curvature`` is the trace of the weight Hessian of the
+    objective, so a matching term changed without its curvature fails
+    here: the weight step's rate cap reads it."""
+
+    @staticmethod
+    def mixed_problem(n=16, p=2, q=2):
+        rng = np.random.default_rng(11)
+        labels = np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, n)]
+        table = CovariateTable.from_columns(
+            [rng.uniform(size=n), labels, rng.uniform(size=n)],
+            ["continuous", "categorical", "continuous"],
+        )
+        ds = Dataset(
+            predictors=rng.standard_normal((n, p)),
+            responses=rng.standard_normal(n),
+            covariates=table,
+        )
+        fact = Factorization(
+            loadings=rng.standard_normal((q, n)),
+            dictionary=rng.standard_normal((q, p)),
+        )
+        return fact, ds, rng.uniform(0.5, 1.5, size=table.width)
+
+    def test_equals_the_oracle_trace_exactly(self):
+        fact, ds, weights = self.mixed_problem()
+        pairs = pairs_within(fact.loadings, 2.0, ds.covariates)
+        assert len(pairs.i_idx) > 0
+        hyper = HyperParams(distance_match=1.7, weights_anchor=0.3)
+        got = composite_objective(fact, weights, ds, hyper, pairs, Scratch())
+        columns = [mat[pairs.i_idx, pairs.j_idx] for mat in oracle_matrices(ds.covariates)]
+        want = hyper.distance_match * sum(float(np.sum(v * v)) for v in columns)
+        want += 2.0 * hyper.weights_anchor * ds.k
+        assert got.weight_curvature == want
+
+    def test_is_the_anchor_alone_without_matching_or_pairs(self):
+        fact, ds, weights = self.mixed_problem()
+        anchor_only = 2.0 * 0.3 * ds.k
+        pairs = pairs_within(fact.loadings, 2.0, ds.covariates)
+        off = HyperParams(distance_match=0.0, weights_anchor=0.3)
+        got = composite_objective(fact, weights, ds, off, pairs, Scratch())
+        assert got.weight_curvature == anchor_only
+
+        none = pairs_within(fact.loadings, 1e-12, ds.covariates)
+        assert len(none.i_idx) == 0
+        on = HyperParams(distance_match=1.7, weights_anchor=0.3)
+        got = composite_objective(fact, weights, ds, on, none, Scratch())
+        assert got.weight_curvature == anchor_only
+
+    def test_matches_second_differences_of_the_value(self):
+        fact, ds, weights = self.mixed_problem()
+        pairs = pairs_within(fact.loadings, 2.0, ds.covariates)
+        hyper = HyperParams(distance_match=1.7, weights_anchor=0.3)
+
+        def value_at(w):
+            return composite_objective(fact, w, ds, hyper, pairs, Scratch()).value
+
+        centre = composite_objective(fact, weights, ds, hyper, pairs, Scratch())
+        # the value is exactly quadratic in the weights, so any step is exact
+        # up to rounding
+        h = 0.25
+        trace = 0.0
+        for unit in np.eye(len(weights)):
+            trace += (value_at(weights + h * unit) - 2.0 * centre.value
+                      + value_at(weights - h * unit)) / (h * h)
+        assert trace == pytest.approx(centre.weight_curvature, rel=1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from persreg import metric, objective, optimizer
+from persreg import metric, optimizer
 from persreg.model import (
     CovariateTable,
     Dataset,
@@ -13,13 +13,14 @@ from persreg.model import (
     center_of_mass,
     coefficient_matrix,
 )
-from persreg.objective import Scratch, composite_objective, distance_match, resolve_pairs
+from persreg.objective import Scratch, composite_objective, distance_match
 from persreg.optimizer import (
     TrainState,
     _drift_bound,
     fit,
     initialize,
     learning_rate,
+    resolve_pairs,
     train_step,
 )
 from persreg.population import ElasticNetConfig, fit_population
@@ -271,6 +272,35 @@ class TestScratch:
         assert all(s is seen[0] for s in seen)
 
 
+class TestWeightRate:
+    """The weight block steps at the global rate capped at the reciprocal
+    of the objective's ``weight_curvature``, whether the cap binds or not."""
+
+    @staticmethod
+    def step_and_reference(hyper):
+        ds = generate(200, 3, 3, seed=2).train_dataset()
+        pop = fit_population(ds, ElasticNetConfig(l1=hyper.l1))
+        state = initialize(ds, hyper, pop, seed=2)
+        fact = state.factorization
+        _, pairs = resolve_pairs(fact.loadings, ds.covariates, hyper)
+        bundle = composite_objective(fact, state.weights, ds, hyper, pairs, Scratch())
+        alpha = learning_rate(hyper, state.iteration)
+        rate = min(alpha, 1.0 / bundle.weight_curvature)
+        want = np.maximum(0.0, state.weights - rate * bundle.grad_weights)
+        new = train_step(state, ds, hyper, Scratch())
+        return new.weights, want, alpha, bundle.weight_curvature
+
+    def test_the_cap_binds_at_the_defaults(self):
+        got, want, alpha, curvature = self.step_and_reference(HyperParams())
+        assert 1.0 / curvature < alpha
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_small_global_rate_leaves_the_cap_idle(self):
+        got, want, alpha, curvature = self.step_and_reference(HyperParams(lr_init=1e-12))
+        assert alpha < 1.0 / curvature
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRadiusHint:
     """Each step's neighbor search starts from the previous step's radius,
     and that hint is what lets a default fit size its grid right the first
@@ -290,7 +320,7 @@ class TestRadiusHint:
             return search(loadings, target_avg, hint)
 
         monkeypatch.setattr(metric, "_grid", counting_grid)
-        for module in (metric, objective):
+        for module in (metric, optimizer):
             monkeypatch.setattr(module, "auto_radius", recording_search)
         records = []
         ds = generate(500, 5, 5, seed=1).train_dataset()
@@ -332,7 +362,7 @@ class TestRadiusHint:
             return search(loadings, target_avg, hint)
 
         monkeypatch.setattr(metric, "_grid", counting_grid)
-        for module in (metric, objective):
+        for module in (metric, optimizer):
             monkeypatch.setattr(module, "auto_radius", recording_search)
         fit(ds, HyperParams(max_iters=4), seed=seed)
 

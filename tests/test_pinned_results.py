@@ -36,7 +36,7 @@ from persreg.model import (
     HyperParams,
     TrainedModel,
 )
-from persreg.objective import resolve_pairs
+from persreg.optimizer import resolve_pairs
 from persreg.predictor import predict_batch
 
 # the OpenBLAS core and numpy's active SIMD dispatch targets the hashes were
