@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Audit the center-of-mass guarantees on instrumented training runs.
+"""Audit the center-of-mass guarantees on traced training runs.
 
 Runs seeded squared-loss fits with row-normalized predictors and reports the
 tightest margins observed for the per-step bound (rate times l1 strength
-plus one) and the accumulated geometric drift envelope.  Instances whose
-population fit has an exact-zero coordinate are skipped: there the
-stationarity condition holds only as an inclusion and the idealized
-analysis does not apply.
+plus one) and the accumulated geometric drift envelope, both as
+``optimizer.com_bounds`` states them.  Instances whose population fit has
+an exact-zero coordinate are skipped: there the stationarity condition
+holds only as an inclusion and the idealized analysis does not apply.
 
 Example:
     python3 scripts/check_drift_bounds.py --runs 20 --iters 150
@@ -18,6 +18,7 @@ import numpy as np
 
 import persreg as pr
 from persreg.model import HyperParams
+from persreg.optimizer import com_bounds
 from persreg.population import ElasticNetConfig, fit_population
 
 
@@ -55,12 +56,12 @@ def main():
             hyper,
             seed=seed,
             population_cfg=pop_cfg,
-            instrument=True,
             trace_fn=records.append,
         )
         for r in records:
-            step_margin = min(step_margin, r["step_bound"] - r["com_step"])
-            drift_margin = min(drift_margin, r["drift_bound"] - r["com_drift"])
+            step_bound, drift_bound = com_bounds(hyper, r["t"])
+            step_margin = min(step_margin, step_bound - r["com_step"])
+            drift_margin = min(drift_margin, drift_bound - r["com_drift"])
         done += 1
 
     print(f"runs audited: {done} (skipped {skipped} without active support)")

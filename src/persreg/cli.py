@@ -67,11 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--task", choices=TASKS)
     tr.add_argument("--config", help="JSON config merged under explicit flags")
     tr.add_argument("--trace", action="store_true", help="write trace.jsonl")
-    tr.add_argument(
-        "--instrument",
-        action="store_true",
-        help="add center-of-mass bound fields to the trace (implies --trace)",
-    )
     for key in HYPER_KEYS:
         flag = "--" + key.replace("_", "-")
         kind = int if key in INTEGER_HYPERS else float
@@ -167,13 +162,11 @@ def run_train(args) -> int:
     dataset = Dataset(predictors=X, responses=y, covariates=table, task=task)
 
     records = []
-    tracing = args.trace or args.instrument
     model = fit(
         dataset,
         hyper,
         seed=args.seed,
-        instrument=args.instrument,
-        trace_fn=records.append if tracing else None,
+        trace_fn=records.append if args.trace else None,
     )
 
     out = Path(args.out)
@@ -185,7 +178,7 @@ def run_train(args) -> int:
         [f"z{j}" for j in range(model.factorization.latent_dim)],
     )
     storage.write_matrix_csv(out / "phi.csv", model.weights, ["phi"])
-    if tracing:
+    if args.trace:
         storage.write_trace_jsonl(out / "trace.jsonl", records)
     return 0
 

@@ -21,8 +21,8 @@ The dictionary block has no safeguard: it steps at the bare global rate, so
 responses 100 times the simulated ones make a default fit diverge (README).
 
 Neither safeguard can increase a step, and the backoff rescales every
-sample equally, so the center-of-mass bookkeeping (the per-iteration bound
-and its accumulated version, checked in instrumented runs) survives them.
+sample equally, so the center-of-mass envelopes (``com_bounds``: the
+per-iteration bound and its accumulated version) survive them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .metric import (
     precompute_cache,
 )
 from .model import (
-    REGRESSION,
     CovariateTable,
     Dataset,
     Factorization,
@@ -69,6 +68,14 @@ class TrainState:
 def learning_rate(hyper: HyperParams, iteration: int) -> float:
     """Global rate at an iteration: lr_init * lr_decay ** iteration."""
     return hyper.lr_init * hyper.lr_decay**iteration
+
+
+def com_bounds(hyper: HyperParams, t: int) -> tuple:
+    """Center-of-mass envelopes of step t of a squared-loss fit with
+    row-normalized predictors: (movement in step t, drift after it)."""
+    c = hyper.lr_decay
+    drift = hyper.lr_init * (hyper.l1 + 1.0) * (1.0 - c ** (t + 1)) / (1.0 - c)
+    return learning_rate(hyper, t) * (hyper.l1 + 1.0), drift
 
 
 def initialize(dataset: Dataset, hyper: HyperParams, population_coef, seed=0) -> TrainState:
@@ -201,18 +208,12 @@ def train_step(
     )
 
 
-def _drift_bound(hyper: HyperParams, tau: int) -> float:
-    c = hyper.lr_decay
-    return hyper.lr_init * (hyper.l1 + 1.0) * (1.0 - c**tau) / (1.0 - c)
-
-
 def fit(
     dataset: Dataset,
     hyper: HyperParams | None = None,
     seed=0,
     *,
     population_cfg: ElasticNetConfig | None = None,
-    instrument: bool = False,
     trace_fn=None,
 ) -> TrainedModel:
     """Full training run, returning the assembled model.
@@ -223,9 +224,8 @@ def fit(
     seed and configuration.
 
     ``trace_fn``, when given, receives one record per iteration with the
-    rate, objective, center-of-mass movement, and neighbor statistics.
-    With ``instrument`` set and a regression task, records also carry the
-    theoretical per-step and accumulated center-of-mass bounds.  ``seed``
+    rate, objective, center-of-mass movement, and neighbor statistics;
+    ``com_bounds`` gives the envelopes that movement keeps to.  ``seed``
     must be an integer >= 0, checked before the population fit.  One
     ``Scratch`` holds the pair-length work arrays of every step, as
     ``train_step``'s ``scratch``, and is dropped when the fit returns.
@@ -258,9 +258,6 @@ def fit(
                     "mean_neighbors": state.mean_neighbors,
                     "radius": state.radius_used,
                 }
-                if instrument and dataset.task == REGRESSION:
-                    record["step_bound"] = alpha * (hyper.l1 + 1.0)
-                    record["drift_bound"] = _drift_bound(hyper, t + 1)
                 trace_fn(record)
             if prev.last_value is not None and abs(state.last_value - prev.last_value) <= (
                 hyper.rel_tol * max(1.0, abs(prev.last_value))

@@ -63,7 +63,7 @@ def generate(
 
     ``normalize_rows`` rescales every predictor row to unit l1 norm (which
     also bounds entries by one) and recomputes responses from the rescaled
-    predictors; instrumented training runs require that normalization.
+    predictors; the envelopes of ``optimizer.com_bounds`` assume it.
     """
     for name, value in (("n", n), ("p", p), ("n_covariates", n_covariates)):
         check_number(name, value, integer=True, bound=Range(1))

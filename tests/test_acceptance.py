@@ -24,7 +24,7 @@ from persreg.objective import (
     composite_objective,
     distance_match,
 )
-from persreg.optimizer import fit, initialize
+from persreg.optimizer import com_bounds, fit, initialize
 from persreg.population import ElasticNetConfig, fit_population
 from persreg.predictor import predict_point, rank_neighbors
 
@@ -115,7 +115,7 @@ def _qualifying_drift_runs(count=20, n=40):
     return runs
 
 
-def _instrumented_records(seed, gamma, train, pop_cfg):
+def _traced_records(seed, gamma, train, pop_cfg):
     hyper = HyperParams(
         distance_match=gamma,
         rate_floor=1.0,
@@ -128,7 +128,6 @@ def _instrumented_records(seed, gamma, train, pop_cfg):
         hyper,
         seed=seed,
         population_cfg=pop_cfg,
-        instrument=True,
         trace_fn=records.append,
     )
     return hyper, records
@@ -138,10 +137,10 @@ def test_criterion_2_per_step_center_of_mass_bound():
     """Every iteration moves the coefficient average by at most rate*(l1+1)."""
     with criterion(2, "per-step center-of-mass bound"):
         for seed, gamma, train, _pop, pop_cfg in _qualifying_drift_runs():
-            _, records = _instrumented_records(seed, gamma, train, pop_cfg)
+            hyper, records = _traced_records(seed, gamma, train, pop_cfg)
             assert len(records) == 150
             for r in records:
-                assert r["com_step"] <= r["step_bound"] + 1e-10, (
+                assert r["com_step"] <= com_bounds(hyper, r["t"])[0] + 1e-10, (
                     f"seed {seed} step {r['t']}"
                 )
 
@@ -150,14 +149,14 @@ def test_criterion_3_accumulated_drift_bound():
     """The coefficient average stays within the geometric drift envelope."""
     with criterion(3, "accumulated center-of-mass drift bound"):
         for seed, gamma, train, pop, pop_cfg in _qualifying_drift_runs():
-            hyper, records = _instrumented_records(seed, gamma, train, pop_cfg)
+            hyper, records = _traced_records(seed, gamma, train, pop_cfg)
             state0 = initialize(train, hyper, pop, seed=seed)
             init_drift = float(
                 np.max(np.abs(center_of_mass(state0.factorization) - pop))
             )
             assert init_drift <= 1e-8  # drift bound at iteration zero
             for r in records:
-                assert r["com_drift"] <= r["drift_bound"] + 1e-8, (
+                assert r["com_drift"] <= com_bounds(hyper, r["t"])[1] + 1e-8, (
                     f"seed {seed} step {r['t']}"
                 )
 

@@ -6,6 +6,7 @@ is resolved here first.  The other way round, a function or class that
 nothing but the tests reaches does not belong in the library.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -210,6 +211,36 @@ def test_readme_hyperparameter_table_matches_the_class():
         value = eval(default, {"__builtins__": {}})
         assert value == HyperParams.__dataclass_fields__[name].default, name
         assert bound == range_text(hints[name].__metadata__[0]), name
+
+
+def cli_options() -> dict:
+    """Each ``persreg`` command with the option strings its parser takes."""
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in commands.items()}
+
+
+def test_readme_names_only_flags_the_cli_takes():
+    """Every flag of a ``persreg <command>`` line in a README code block is
+    an option of that command, and every ``--flag`` in a backticked span of
+    the prose is an option of some command.  Lines that run ``scripts/`` or
+    ``pip`` are not ``persreg`` lines, so they are not checked."""
+    options = cli_options()
+    # a command continues over lines that end in a backslash
+    for line in readme_code().replace("\\\n", " ").splitlines():
+        words = line.split("#")[0].split()
+        if words[:1] != ["persreg"]:
+            continue
+        assert words[1] in options, line
+        flags = {word.split("=")[0] for word in words if word.startswith("--")}
+        assert flags <= options[words[1]], line
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    known = set().union(*options.values())
+    for span in re.findall(r"`([^`]+)`", prose):
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span):
+            assert flag in known, f"README names {flag} in `{span}`"
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,16 @@ from persreg.model import (
 )
 from persreg.optimizer import fit
 from persreg.predictor import predict_batch
-from persreg.simulate import auroc_rank_sum, recovery_error, score_predictions
+from persreg.simulate import (
+    auroc_rank_sum,
+    generate,
+    recovery_error,
+    score_predictions,
+)
+
+
+TRACE_KEYS = {"t", "alpha", "objective", "com_step", "com_drift", "mean_neighbors",
+              "radius"}
 
 
 def run_cli(*args):
@@ -149,21 +158,37 @@ class TestTrain:
         )
         assert np.array_equal(cli_model.weights, api_model.weights)
 
-    def test_instrumented_trace_respects_step_bound(self, sim_dir, tmp_path):
+    def test_traced_run_has_one_schema_and_keeps_the_step_bound(
+        self, sim_dir, tmp_path
+    ):
         out = tmp_path / "fit_tr"
         assert run_cli(
             *train_args(
                 sim_dir, out, "--max-iters", 40, "--distance-match", 0.0,
-                "--rate-floor", 1.0, "--instrument",
+                "--rate-floor", 1.0, "--trace",
             )
         ) == 0
+        hyper = storage.load_model(out / "model.json").hyper
         lines = (out / "trace.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert len(records) == 40
         for r in records:
-            assert set(r) >= {"t", "alpha", "objective", "com_step", "com_drift",
-                              "mean_neighbors", "step_bound", "drift_bound"}
-            assert r["com_step"] <= r["step_bound"] + 1e-10
+            assert set(r) == TRACE_KEYS
+            assert r["com_step"] <= optimizer.com_bounds(hyper, r["t"])[0] + 1e-10
+
+        # a classification fit traces the same keys
+        ds = generate(40, 2, 2, seed=9).train_dataset()
+        labels = (ds.responses > np.median(ds.responses)).astype(float)
+        clf = Dataset(ds.predictors, labels, ds.covariates, "classification")
+        records = []
+        fit(clf, HyperParams(max_iters=5), seed=9, trace_fn=records.append)
+        assert len(records) == 5
+        assert all(set(r) == TRACE_KEYS for r in records)
+
+        # train has no --instrument option
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*train_args(sim_dir, tmp_path / "f", "--instrument"))
+        assert exc.value.code == 2
 
     def test_unknown_config_key_rejected(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from persreg.model import (
 from persreg.objective import Scratch, composite_objective, distance_match
 from persreg.optimizer import (
     TrainState,
-    _drift_bound,
+    com_bounds,
     fit,
     initialize,
     learning_rate,
@@ -456,7 +456,7 @@ class TestFit:
         ds = generate(40, 2, 3, seed=0, normalize_rows=True).train_dataset()
         hyper = HyperParams(max_iters=200, rel_tol=1e-3)
         records = []
-        fit(ds, hyper, seed=0, instrument=True, trace_fn=records.append)
+        fit(ds, hyper, seed=0, trace_fn=records.append)
 
         pop = fit_population(
             ds, ElasticNetConfig(l1=hyper.l1, l2=1e-4 * hyper.l1, fit_task=ds.task)
@@ -486,13 +486,11 @@ class TestFit:
                 "com_drift": float(np.max(np.abs(com - pop))),
                 "mean_neighbors": b.mean_neighbors,
                 "radius": b.radius_used,
-                "step_bound": alpha * (hyper.l1 + 1.0),
-                "drift_bound": _drift_bound(hyper, t + 1),
             }
 
     def test_drift_bound_geometric_limit(self):
         hyper = HyperParams(lr_init=0.1, lr_decay=0.5, l1=1.0)
-        assert _drift_bound(hyper, 10_000) == pytest.approx(0.4)
+        assert com_bounds(hyper, 9_999)[1] == pytest.approx(0.4)
 
     def test_instrumented_run_respects_drift_limit(self):
         inst = generate(30, 2, 3, seed=21, normalize_rows=True)
@@ -502,7 +500,7 @@ class TestFit:
             rate_floor=1.0, max_iters=60, rel_tol=1e-14,
         )
         records = []
-        fit(ds, hyper, seed=21, instrument=True, trace_fn=records.append)
+        fit(ds, hyper, seed=21, trace_fn=records.append)
         assert all(r["com_drift"] <= 0.4 + 1e-8 for r in records)
 
     def test_per_step_center_of_mass_bound(self):
@@ -530,12 +528,11 @@ class TestFit:
                 hyper,
                 seed=seed,
                 population_cfg=pop_cfg,
-                instrument=True,
                 trace_fn=records.append,
             )
             assert records, "no iterations traced"
             for r in records:
-                assert r["com_step"] <= r["step_bound"] + 1e-10
+                assert r["com_step"] <= com_bounds(hyper, r["t"])[0] + 1e-10
             checked += 1
 
     def test_recovery_improves_over_population_smoke(self):

@@ -3,15 +3,16 @@
 Speed work must not change what a seeded fit produces.  Each fit case
 hashes (sha256) the serialized model together with the per-iteration trace
 records of one small fit; each pipeline case hashes every file that one
-small seeded run of the command-line tools leaves behind; the pair case
-hashes the neighbor pairs one training step finds for seeded loadings; the
-batch case hashes every field of ``predict_batch`` over seeded random
-models.  The hashes were recorded with numpy 2.4.6 and Python 3.11 on
-x86-64 Linux, under the CPU kernels ``RECORDED_KERNELS`` names; another
-numpy build, BLAS kernel or SIMD dispatch may round the SVD, the matrix
-products or ``exp`` differently, and then many hashes move at once.  So
-every hash failure names the recorded kernels and this host's.  On the
-recorded kernels, a change that moves a hash changed the arithmetic.
+small seeded run of the command-line tools leaves behind; the envelope
+case hashes ``optimizer.com_bounds`` over the regression pipeline's steps;
+the pair case hashes the neighbor pairs one training step finds for seeded
+loadings; the batch case hashes every field of ``predict_batch`` over
+seeded random models.  The hashes were recorded with numpy 2.4.6 and
+Python 3.11 on x86-64 Linux, under the CPU kernels ``RECORDED_KERNELS``
+names; another numpy build, BLAS kernel or SIMD dispatch may round the
+SVD, the matrix products or ``exp`` differently, and then many hashes move
+at once.  So every hash failure names the recorded kernels and this host's.
+On the recorded kernels, a change that moves a hash changed the arithmetic.
 """
 
 import ctypes
@@ -36,7 +37,7 @@ from persreg.model import (
     HyperParams,
     TrainedModel,
 )
-from persreg.optimizer import resolve_pairs
+from persreg.optimizer import com_bounds, resolve_pairs
 from persreg.predictor import predict_batch
 
 # the OpenBLAS core and numpy's active SIMD dispatch targets the hashes were
@@ -137,12 +138,12 @@ def _run(*args):
 
 
 def _regression_pipeline(d):
-    """simulate, an instrumented train, predict with the coefficients, and
+    """simulate, a traced train, predict with the coefficients, and
     evaluate against the true coefficients."""
     _run("simulate", "--n", 40, "--p", 2, "--k", 3, "--seed", 11,
          "--out", d, "--normalize-rows")
     _run("train", "--x", d / "X.csv", "--y", d / "Y.csv", "--u", d / "U.csv",
-         "--out", d / "fit", "--seed", 2, "--max-iters", 15, "--instrument")
+         "--out", d / "fit", "--seed", 2, "--max-iters", 15, "--trace")
     _run("predict", "--model", d / "fit" / "model.json", "--x", d / "X.csv",
          "--u", d / "U.csv", "--out", d / "predictions.csv",
          "--include-theta", "--n-neighbors", 5)
@@ -247,7 +248,7 @@ def _partitioned_pipeline(d):
 PIPELINES = {
     "regression": (
         _regression_pipeline,
-        "886a520e7c461e2a1c33204a9fca7bffafff5e6dfa8bba4b5efb59dd008fa173",
+        "37b4fd1a4e8763d501e58d64a3c3a4d07dae362dd2b1405b24e96884681daf62",
     ),
     "mixed-classification": (
         _classification_pipeline,
@@ -303,6 +304,18 @@ def test_neighbor_pairs_are_pinned():
     assert pairs_digest() == (
         "a12fe66f47e7e95736eacd80b2c9329d3de55358eb4104303a3a178964abfaed"
     ), kernels_note()
+
+
+def test_center_of_mass_envelopes_are_pinned():
+    """The envelopes of the regression pipeline's 15 steps, hashed as
+    ``repr`` of each (step, drift) pair; the pipeline's trace does not
+    carry them."""
+    h = hashlib.sha256()
+    for t in range(15):
+        h.update(repr(com_bounds(HyperParams(max_iters=15), t)).encode() + b"\0")
+    assert h.hexdigest() == (
+        "67b2720aa99d46ba6c6ba7fad4bb138e872394200e05652b61e8a27e70ea61df"
+    )
 
 
 def random_prediction_case(rng, n=None, m=None, n_labels=3):
